@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import construct, core, io, rank, slocc
-from .errors import PreconditionError, UndecidableError
+from .errors import PreconditionError, ProfileMismatch, UndecidableError
 
 
 def _parse_dims(text: str) -> tuple:
@@ -90,7 +90,9 @@ def _cmd_classify(args) -> int:
 def _cmd_equiv(args) -> int:
     a = io.load_state(args.a)
     b = io.load_state(args.b)
-    if a.n == 2 and b.n == 2:
+    if a.dims != b.dims:
+        raise ProfileMismatch(f"dims differ: {a.dims} vs {b.dims}")
+    if a.n == 2:
         result = slocc.equiv_bipartite(a, b)
         tag = "bipartite-schmidt-rank"
     else:
@@ -199,7 +201,7 @@ def _cmd_schmidt(args) -> int:
     r, svals = core.schmidt_rank(state, args.subset)
     result = {"rank": r, "singular_values": [float(s) for s in svals]}
     return _report(args, result, ["schmidt-rank"],
-                   f"rank = {r}, singular values = {list(np.round(svals, 12))}",
+                   f"rank = {r}, singular values = {np.round(svals, 12).tolist()}",
                    {"state": args.state, "subset": list(args.subset)})
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -19,6 +19,7 @@ from .errors import (
     EmptyOrFullSubset,
     InvalidPartition,
     LengthMismatch,
+    NonFiniteAmplitudes,
     ShapeMismatch,
     ZeroResult,
     ZeroState,
@@ -32,8 +33,17 @@ INVERTIBLE_CONDITION_FLOOR = 1e-3
 
 
 def rank_eps() -> float:
-    """Relative singular-value cutoff; MES_RANK_EPS overrides the default."""
-    return float(os.environ.get("MES_RANK_EPS", DEFAULT_RANK_EPS))
+    """Relative singular-value cutoff; MES_RANK_EPS overrides the default.
+
+    Raises ValueError unless the override is a finite float in (0, 1).
+    """
+    text = os.environ.get("MES_RANK_EPS")
+    if text is None:
+        return DEFAULT_RANK_EPS
+    eps = float(text)
+    if not 0.0 < eps < 1.0:  # also false for NaN
+        raise ValueError(f"MES_RANK_EPS must be a float in (0, 1), got {text!r}")
+    return eps
 
 
 @dataclass(frozen=True)
@@ -85,14 +95,19 @@ def profile(dims: Sequence[int]) -> DimsProfile:
 
 @dataclass(frozen=True)
 class PureState:
-    """Unnormalized pure state: profile plus flat amplitude vector."""
+    """Unnormalized pure state: profile plus flat amplitude vector.
+
+    The state owns a read-only copy of its amplitudes, so the singular values
+    that schmidt_rank caches per cut in _svals cannot go stale.
+    """
 
     profile: DimsProfile
     amplitudes: np.ndarray
     label: Optional[str] = None
+    _svals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -158,13 +173,16 @@ class RankProfile:
 def make_state(
     dims: Sequence[int], amplitudes: Sequence[complex], label: Optional[str] = None
 ) -> PureState:
-    """Validated state constructor; rejects length mismatch and the zero vector."""
+    """Validated state constructor; rejects length mismatch, NaN or infinite
+    amplitudes and the zero vector."""
     prof = profile(dims)
     amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if amps.size != prof.total_dim:
         raise LengthMismatch(
             f"expected {prof.total_dim} amplitudes for dims {prof.dims}, got {amps.size}"
         )
+    if not np.isfinite(amps).all():
+        raise NonFiniteAmplitudes("amplitudes must be finite, got NaN or infinity")
     if not np.any(amps):
         raise ZeroState("all amplitudes are zero")
     return PureState(prof, amps, label)
@@ -183,12 +201,21 @@ def schmidt_rank(state: PureState, subset: Iterable[int]):
     """Numerical Schmidt rank across subset : rest, with all singular values.
 
     A singular value counts iff it exceeds rank_eps() times the largest one.
+    The singular values are computed once per state and cut, from the
+    flattening of the side holding party 0, so a cut and its complement share
+    them; the cutoff is applied on every call.
     """
-    sub = set(int(i) for i in subset)
-    if not sub or not sub < set(range(state.n)):
+    sub = frozenset(int(i) for i in subset)
+    parties = frozenset(range(state.n))
+    if not sub or not sub < parties:
         raise EmptyOrFullSubset(f"subset {sorted(sub)} must be proper and non-empty")
-    mat = _subset_flattening(state, sub)
-    svals = np.linalg.svd(mat, compute_uv=False)
+    if 0 not in sub:
+        sub = parties - sub
+    svals = state._svals.get(sub)
+    if svals is None:
+        svals = np.linalg.svd(_subset_flattening(state, sub), compute_uv=False)
+        svals.flags.writeable = False
+        state._svals[sub] = svals
     rank = int(np.sum(svals > rank_eps() * svals[0]))
     return rank, svals
 
@@ -306,9 +333,3 @@ def orthocomplement_basis(rows: np.ndarray) -> np.ndarray:
     nnz = int(np.sum(svals > tol))
     return vh[nnz:].conj().T
 
-
-def states_close(a: PureState, b: PureState, tol: float = 1e-12) -> bool:
-    """Max absolute amplitude deviation within tol (same dims required)."""
-    if a.dims != b.dims:
-        return False
-    return bool(np.max(np.abs(a.amplitudes - b.amplitudes)) <= tol)

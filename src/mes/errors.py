@@ -25,6 +25,10 @@ class ZeroState(PreconditionError):
     pass
 
 
+class NonFiniteAmplitudes(PreconditionError):
+    pass
+
+
 class EmptyOrFullSubset(PreconditionError):
     pass
 

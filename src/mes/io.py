@@ -9,6 +9,8 @@ All entries row-major; state amplitudes use the party-0-slowest layout.
 from __future__ import annotations
 
 import json
+import operator
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -18,11 +20,21 @@ from .rank import ProductDecomposition
 
 
 def _pairs(arr: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(arr, dtype=complex).reshape(-1)]
+    flat = np.ascontiguousarray(arr, dtype=complex).reshape(-1)
+    return flat.view(float).reshape(-1, 2).tolist()
 
 
 def _complex(pairs) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    """Complex vector from [[re, im], ...]; ValueError unless all are number pairs."""
+    try:
+        if set(map(len, pairs)) - {2}:
+            raise ValueError("complex entries must be [re, im] pairs")
+        # operator.pos rejects strings and other non-numbers that numpy would convert
+        flat = np.fromiter(map(operator.pos, chain.from_iterable(pairs)),
+                           dtype=float, count=2 * len(pairs))
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"complex entries must be [re, im] number pairs ({exc})")
+    return flat.view(complex)
 
 
 def state_to_dict(state: PureState) -> dict:
@@ -30,7 +42,12 @@ def state_to_dict(state: PureState) -> dict:
 
 
 def state_from_dict(data: dict, label: Optional[str] = None) -> PureState:
-    return make_state(data["dims"], _complex(data["amps"]), label=label)
+    if not isinstance(data, dict):
+        raise ValueError("a state must be a JSON object")
+    dims = data["dims"]
+    if type(dims) is not list or any(type(d) is not int for d in dims):
+        raise ValueError(f"dims must be a list of integers, got {dims!r}")
+    return make_state(dims, _complex(data["amps"]), label=label)
 
 
 def ops_to_dict(tup: LocalOperatorTuple) -> dict:

@@ -187,17 +187,15 @@ def reach_from_mes(dims: Sequence[int], target: PureState) -> LocalOperatorTuple
 
 
 def _bipartite_slocc_factors(state_matrix: np.ndarray):
-    """Invertible (A, B) with state = A @ N_r @ B.T, N_r a truncated identity."""
-    rows, cols = state_matrix.shape
+    """Invertible (A, B) with state = A @ N_r @ B.T, N_r the r x r identity
+    padded with zeros to the state's shape."""
+    rows = state_matrix.shape[0]
     u, svals, vh = np.linalg.svd(state_matrix)
     r = int(np.sum(svals > core.rank_eps() * svals[0]))
     scale = np.ones(rows, dtype=complex)
     scale[:r] = svals[:r]
     a = u @ np.diag(scale)
-    b = vh.T  # state = a @ N_r @ b.T with N_r = eye(rows, cols) truncated at r
-    n_r = np.zeros((rows, cols), dtype=complex)
-    n_r[np.arange(r), np.arange(r)] = 1.0
-    return a, b, n_r, r
+    return a, vh.T
 
 
 def hyperplane_equivalence_tuple(
@@ -221,8 +219,8 @@ def hyperplane_equivalence_tuple(
     d1, d2, d3 = target.dims
     comp_t = complement_map(target, 0).complement_state.amplitudes.reshape(d2, d3)
     comp_s = complement_map(source, 0).complement_state.amplitudes.reshape(d2, d3)
-    at, bt, _, _ = _bipartite_slocc_factors(comp_t)
-    as_, bs, _, _ = _bipartite_slocc_factors(comp_s)
+    at, bt = _bipartite_slocc_factors(comp_t)
+    as_, bs = _bipartite_slocc_factors(comp_s)
     # m2 (x) m3 maps the source complement onto the target complement; the
     # operators acting on the states themselves are the inverse adjoints.
     m2 = at @ np.linalg.inv(as_)

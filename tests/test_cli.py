@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from mes import construct, core, io
 from mes.cli import main
@@ -95,6 +96,14 @@ def test_equiv_hyperplane(capsys, tmp_path, phi1_322, phi2_322):
     assert json.loads(out)["result"] is False
 
 
+def test_equiv_across_profiles_exit_2(capsys, tmp_path):
+    a = write_state(tmp_path, "a.json", construct.canonical_maximal((5, 3, 2), 1))
+    b = write_state(tmp_path, "b.json", construct.canonical_maximal((11, 4, 3), 1))
+    code, out, err = run(capsys, "--json", "equiv", a, b)
+    assert code == 2
+    assert out == "" and "dims differ" in err
+
+
 def test_witness_case1(capsys, tmp_path):
     a, b = construct.case1_pair(2)
     pa = write_state(tmp_path, "a.json", a)
@@ -145,6 +154,42 @@ def test_rank_lb_and_schmidt(capsys, tmp_path, phi2_322):
     assert code == 0 and json.loads(out)["result"] == 3
     code, out, _ = run(capsys, "--json", "schmidt", path, "--subset", "0")
     assert code == 0 and json.loads(out)["result"]["rank"] == 3
+
+
+def test_schmidt_human_output_plain_floats(capsys, tmp_path, bell):
+    path = write_state(tmp_path, "bell.json", bell)
+    code, out, _ = run(capsys, "schmidt", path, "--subset", "1")
+    assert code == 0
+    assert out.strip() == "rank = 2, singular values = [1.0, 1.0]"
+
+
+def test_bad_rank_eps_exit_1(capsys, tmp_path, monkeypatch, bell):
+    path = write_state(tmp_path, "bell.json", bell)
+    monkeypatch.setenv("MES_RANK_EPS", "2")
+    code, _, err = run(capsys, "maximal", path)
+    assert code == 1
+    assert "MES_RANK_EPS" in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"dims": "22", "amps": [[1, 0], [0, 0], [0, 0], [1, 0]]},
+    {"dims": [2, 2], "amps": [1, 0, 0, 1]},
+    {"dims": [2, 2], "amps": [[1, 0, 0], [0], [0, 0], [1, 0]]},
+])
+def test_malformed_state_exit_1(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "maximal", str(path))
+    assert code == 1
+    assert out == "" and "input error" in err
+
+
+def test_non_finite_amplitude_exit_2(capsys, tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text('{"dims": [2, 2], "amps": [[1, 0], [0, 0], [0, 0], [NaN, 0]]}')
+    code, _, err = run(capsys, "maximal", str(path))
+    assert code == 2
+    assert "finite" in err
 
 
 def test_verify_decomp_command(capsys, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mes import core
+from mes import core, rank, slocc
 from mes.core import (
     LocalOperatorTuple,
     PartyPartition,
@@ -15,6 +15,7 @@ from mes.errors import (
     EmptyOrFullSubset,
     InvalidPartition,
     LengthMismatch,
+    NonFiniteAmplitudes,
     ShapeMismatch,
     ZeroResult,
     ZeroState,
@@ -34,6 +35,20 @@ def test_make_state_rejects_zero():
 def test_make_state_rejects_length_mismatch():
     with pytest.raises(LengthMismatch):
         make_state([2, 2], [1, 0, 0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_make_state_rejects_non_finite(bad):
+    with pytest.raises(NonFiniteAmplitudes):
+        make_state([2, 2], [1, 0, 0, bad])
+
+
+def test_state_owns_its_amplitudes():
+    amps = np.array([1, 0, 0, 0], dtype=complex)
+    s = make_state((2, 2), amps)
+    amps[3] = 1
+    assert schmidt_rank(s, {0})[0] == 1
+    assert s.amplitudes[3] == 0
 
 
 def test_make_state_phi2(phi2_322):
@@ -163,6 +178,51 @@ def test_rank_eps_env_override(monkeypatch):
     assert schmidt_rank(s, {0})[0] == 1
     monkeypatch.delenv("MES_RANK_EPS")
     assert schmidt_rank(s, {0})[0] == 2
+
+
+@pytest.mark.parametrize("value", ["0", "1", "-1e-9", "nan", "inf", "tight"])
+def test_rank_eps_rejects_bad_override(monkeypatch, value):
+    monkeypatch.setenv("MES_RANK_EPS", value)
+    with pytest.raises(ValueError):
+        core.rank_eps()
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes of the matrices passed to numpy.linalg.svd during the test."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+def test_one_svd_per_distinct_cut_tripartite(svd_calls):
+    s = core.random_state((3, 3, 3), np.random.default_rng(1))
+    assert slocc.is_maximal(s)
+    local_ranks(s)
+    assert rank.flattening_lower_bound(s) == 3
+    assert len(svd_calls) == 3
+
+
+def test_one_svd_per_distinct_cut_six_qubits(svd_calls):
+    s = core.random_state((2,) * 6, np.random.default_rng(2))
+    local_ranks(s)
+    assert len(svd_calls) == 31
+
+
+def test_cut_and_complement_share_singular_values(svd_calls):
+    s = core.random_state((2, 3, 4), np.random.default_rng(3))
+    r1, sv1 = schmidt_rank(s, {1})
+    r02, sv02 = schmidt_rank(s, {0, 2})
+    assert r1 == r02 == 3
+    assert sv1 is sv02
+    assert not sv1.flags.writeable
+    assert len(svd_calls) == 1
 
 
 def test_orthocomplement_basis():

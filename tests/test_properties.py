@@ -1,13 +1,14 @@
 """Randomized and property-based invariants of the library operations."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mes import construct, core, rank, slocc
+from mes import construct, core, io, rank, slocc
 
 SMALL_TRIPARTITE = [
     dims
@@ -155,3 +156,27 @@ def test_complement_class_independent_of_construction():
             tup = core.random_invertible_tuple((3, 2, 2), rng)
             moved = core.apply_local(canon, tup)
             assert slocc.classify_hyperplane(moved) == r
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308,
+               1.7976931348623157e308]
+CODEC_FLOATS = st.one_of(
+    st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(parts=st.lists(st.tuples(CODEC_FLOATS, CODEC_FLOATS), min_size=1, max_size=24))
+def test_amplitude_codec_exact(parts):
+    amps = np.array([complex(re, im) for re, im in parts])
+    if not np.any(amps):
+        amps[0] = 1.0
+    state = core.make_state([amps.size], amps)
+    doc = io.state_to_dict(state)
+    # the per-amplitude encoding the vectorised codec replaced
+    assert doc["amps"] == [[float(z.real), float(z.imag)] for z in state.amplitudes]
+    assert json.dumps(doc["amps"]) == json.dumps(
+        [[float(z.real), float(z.imag)] for z in state.amplitudes]
+    )
+    back = io.state_from_dict(json.loads(json.dumps(doc)))
+    assert back.amplitudes.tobytes() == state.amplitudes.tobytes()
