@@ -105,7 +105,7 @@ def augment_to_full_ranks(state: PureState, seed: int = 0) -> PureState:
         for attempt in range(8):
             factors = []
             for i in range(3):
-                flat = core._subset_flattening(current, {i})
+                flat = core.flattening(current, {i})
                 if i in deficient:
                     comp = core.orthocomplement_basis(flat.T)
                     v = comp[:, 0]
@@ -137,9 +137,9 @@ def support_projectors(state: PureState) -> core.LocalOperatorTuple:
     """Per-party orthogonal projectors onto the state's local supports."""
     ops = []
     for i in range(state.n):
-        flat = core._subset_flattening(state, {i})
+        flat = core.flattening(state, {i})
         u, svals, _ = np.linalg.svd(flat, full_matrices=False)
-        r = int(np.sum(svals > core.rank_eps() * svals[0]))
+        r = core.numerical_rank(svals)
         basis = u[:, :r]
         ops.append(basis @ basis.conj().T)
     return core.LocalOperatorTuple(tuple(ops))

@@ -188,7 +188,15 @@ def make_state(
     return PureState(prof, amps, label)
 
 
-def _subset_flattening(state: PureState, subset: Iterable[int]) -> np.ndarray:
+def numerical_rank(svals: np.ndarray) -> int:
+    """Number of singular values (sorted descending) above rank_eps() times the
+    largest; 0 for an empty array. Every rank decision in mes goes through here."""
+    if svals.size == 0:
+        return 0
+    return int(np.count_nonzero(svals > rank_eps() * svals[0]))
+
+
+def flattening(state: PureState, subset: Iterable[int]) -> np.ndarray:
     """Matrix of the state across subset : complement, subset indices as rows."""
     sub = sorted(set(int(i) for i in subset))
     rest = [i for i in range(state.n) if i not in sub]
@@ -200,10 +208,9 @@ def _subset_flattening(state: PureState, subset: Iterable[int]) -> np.ndarray:
 def schmidt_rank(state: PureState, subset: Iterable[int]):
     """Numerical Schmidt rank across subset : rest, with all singular values.
 
-    A singular value counts iff it exceeds rank_eps() times the largest one.
-    The singular values are computed once per state and cut, from the
-    flattening of the side holding party 0, so a cut and its complement share
-    them; the cutoff is applied on every call.
+    The rank is numerical_rank of the singular values. They are computed once
+    per state and cut, from the flattening of the side holding party 0, so a
+    cut and its complement share them; the cutoff is applied on every call.
     """
     sub = frozenset(int(i) for i in subset)
     parties = frozenset(range(state.n))
@@ -213,11 +220,10 @@ def schmidt_rank(state: PureState, subset: Iterable[int]):
         sub = parties - sub
     svals = state._svals.get(sub)
     if svals is None:
-        svals = np.linalg.svd(_subset_flattening(state, sub), compute_uv=False)
+        svals = np.linalg.svd(flattening(state, sub), compute_uv=False)
         svals.flags.writeable = False
         state._svals[sub] = svals
-    rank = int(np.sum(svals > rank_eps() * svals[0]))
-    return rank, svals
+    return numerical_rank(svals), svals
 
 
 def canonical_bipartitions(n: int):
@@ -329,7 +335,5 @@ def orthocomplement_basis(rows: np.ndarray) -> np.ndarray:
     """
     mat = np.atleast_2d(np.asarray(rows, dtype=complex))
     _, svals, vh = np.linalg.svd(np.conj(mat), full_matrices=True)
-    tol = rank_eps() * (svals[0] if svals.size else 0.0)
-    nnz = int(np.sum(svals > tol))
-    return vh[nnz:].conj().T
+    return vh[numerical_rank(svals):].conj().T
 

@@ -59,11 +59,25 @@ def ops_to_dict(tup: LocalOperatorTuple) -> dict:
     }
 
 
+def _list_member(data, key: str) -> list:
+    """data[key]; ValueError unless data is a JSON object and the value a list."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a document holding {key!r} must be a JSON object")
+    items = data[key]
+    if not isinstance(items, list):
+        raise ValueError(f"{key!r} must be a list, got {items!r}")
+    return items
+
+
 def ops_from_dict(data: dict) -> LocalOperatorTuple:
     ops = []
-    for entry in data["ops"]:
-        mat = _complex(entry["entries"]).reshape(entry["rows"], entry["cols"])
-        ops.append(mat)
+    for entry in _list_member(data, "ops"):
+        if not isinstance(entry, dict):
+            raise ValueError(f"each operator must be a JSON object, got {entry!r}")
+        shape = (entry["rows"], entry["cols"])
+        if any(type(n) is not int or n < 1 for n in shape):
+            raise ValueError(f"rows and cols must be positive integers, got {shape}")
+        ops.append(_complex(entry["entries"]).reshape(shape))
     return LocalOperatorTuple(tuple(ops))
 
 
@@ -74,9 +88,10 @@ def decomposition_to_dict(decomposition: ProductDecomposition) -> dict:
 
 
 def decomposition_from_dict(data: dict) -> ProductDecomposition:
-    return ProductDecomposition(
-        tuple(tuple(_complex(v) for v in term) for term in data["terms"])
-    )
+    terms = _list_member(data, "terms")
+    if any(not isinstance(term, list) for term in terms):
+        raise ValueError("each term must be a list of vectors, one per party")
+    return ProductDecomposition(tuple(tuple(_complex(v) for v in term) for term in terms))
 
 
 def load_state(path: str, label: Optional[str] = None) -> PureState:

@@ -94,7 +94,7 @@ def complement_map(state: PureState, pivot: int) -> ComplementClass:
         raise PivotRankDeficient(
             f"pivot local rank {rank} < dimension {d_pivot}"
         )
-    flat = core._subset_flattening(state, {pivot})  # rows are the phi_i
+    flat = core.flattening(state, {pivot})  # rows are the phi_i
     perp = core.orthocomplement_basis(flat)  # orthonormal columns
     if perp.shape[1] != k:
         raise PivotRankDeficient("degenerate flattening: wrong complement dimension")
@@ -179,7 +179,7 @@ def reach_from_mes(dims: Sequence[int], target: PureState) -> LocalOperatorTuple
         raise ProfileMismatch(f"target dims {target.dims} != {prof.dims}")
     d1 = prof.dims[0]
     tail = math.prod(prof.dims[1:])
-    flat = core._subset_flattening(target, {0})  # d1 x tail
+    flat = core.flattening(target, {0})  # d1 x tail
     l1 = np.zeros((d1, d1), dtype=complex)
     l1[:, :tail] = flat
     ops = (l1,) + tuple(np.eye(d, dtype=complex) for d in prof.dims[1:])
@@ -191,7 +191,7 @@ def _bipartite_slocc_factors(state_matrix: np.ndarray):
     padded with zeros to the state's shape."""
     rows = state_matrix.shape[0]
     u, svals, vh = np.linalg.svd(state_matrix)
-    r = int(np.sum(svals > core.rank_eps() * svals[0]))
+    r = core.numerical_rank(svals)
     scale = np.ones(rows, dtype=complex)
     scale[:r] = svals[:r]
     a = u @ np.diag(scale)
@@ -230,8 +230,8 @@ def hyperplane_equivalence_tuple(
     partial = core.apply_local(
         source, LocalOperatorTuple((np.eye(d1, dtype=complex), l2, l3))
     )
-    flat_partial = core._subset_flattening(partial, {0})
-    flat_target = core._subset_flattening(target, {0})
+    flat_partial = core.flattening(partial, {0})
+    flat_target = core.flattening(target, {0})
     # solve l1 @ flat_partial = flat_target; both have full row rank d1 and
     # identical row spaces, so the solution is exact and invertible
     l1 = np.linalg.lstsq(flat_partial.T, flat_target.T, rcond=None)[0].T

@@ -184,6 +184,29 @@ def test_malformed_state_exit_1(capsys, tmp_path, doc):
     assert out == "" and "input error" in err
 
 
+IDENTITY = {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("apply", {"ops": [dict(IDENTITY, rows="2"), IDENTITY]}),
+    ("apply", {"ops": [dict(IDENTITY, rows=True), IDENTITY]}),
+    ("apply", {"ops": [dict(IDENTITY, rows=-1), IDENTITY]}),
+    ("apply", [IDENTITY, IDENTITY]),
+    ("apply", {"ops": 5}),
+    ("apply", {"ops": [5]}),
+    ("verify-decomp", {"terms": 5}),
+    ("verify-decomp", {"terms": [5]}),
+    ("verify-decomp", [[[[1, 0]], [[1, 0]]]]),
+])
+def test_malformed_ops_and_decomposition_exit_1(capsys, tmp_path, bell, command, doc):
+    state = write_state(tmp_path, "bell.json", bell)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, state, str(path))
+    assert code == 1
+    assert out == "" and "input error" in err
+
+
 def test_non_finite_amplitude_exit_2(capsys, tmp_path):
     path = tmp_path / "nan.json"
     path.write_text('{"dims": [2, 2], "amps": [[1, 0], [0, 0], [0, 0], [NaN, 0]]}')

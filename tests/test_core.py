@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mes import core, rank, slocc
+from mes import construct, core, rank, slocc
 from mes.core import (
     LocalOperatorTuple,
     PartyPartition,
@@ -231,3 +231,28 @@ def test_orthocomplement_basis():
     assert comp.shape == (4, 2)
     assert np.allclose(np.conj(rows) @ comp, 0)
     assert np.allclose(comp.conj().T @ comp, np.eye(2))
+
+
+@pytest.mark.parametrize("eps, rank", [(None, 3), ("1e-6", 2)])
+def test_every_rank_decision_shares_the_cutoff(monkeypatch, eps, rank):
+    # singular values 1, 0.5, 1e-7: the default cutoff keeps the smallest, 1e-6 drops it
+    if eps is None:
+        monkeypatch.delenv("MES_RANK_EPS", raising=False)
+    else:
+        monkeypatch.setenv("MES_RANK_EPS", eps)
+    rng = np.random.default_rng(5)
+    u, v = (np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+            for _ in range(2))
+    m = u @ np.diag([1.0, 0.5, 1e-7]) @ v
+    state = make_state([3, 3], m)
+    assert schmidt_rank(state, {0})[0] == rank
+    assert core.orthocomplement_basis(m).shape[1] == 3 - rank
+    projector = construct.support_projectors(state).ops[0]
+    assert np.trace(projector).real == pytest.approx(rank)
+    # the factor A of m = A @ N_r @ B.T keeps sigma_i for i < r and puts 1 elsewhere
+    a, _ = slocc._bipartite_slocc_factors(m)
+    assert (np.linalg.svd(a, compute_uv=False)[-1] < 1e-3) == (rank == 3)
+
+
+def test_numerical_rank_of_nothing_is_zero():
+    assert core.numerical_rank(np.zeros(0)) == 0
