@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -30,14 +29,21 @@ def mes_state(dims: Sequence[int]) -> PureState:
     prof = profile(dims)
     if prof.n < 2 or not prof.is_sorted_desc():
         raise ConditionViolated(f"dims {prof.dims} must be sorted non-increasing, n >= 2")
-    tail = math.prod(prof.dims[1:])
-    if prof.dims[0] < tail:
+    tail = prof.tail_product
+    if not prof.has_mes:
         raise ConditionViolated(
             f"no maximum entangled state: d1 = {prof.dims[0]} < {tail} = product of the rest"
         )
     amps = np.zeros(prof.total_dim, dtype=complex)
     amps[np.arange(tail) * tail + np.arange(tail)] = 1.0
     return PureState(prof, amps, label=f"mes{prof.dims}")
+
+
+def _sorted_tripartite(dims: Sequence[int]) -> core.DimsProfile:
+    prof = profile(dims)
+    if prof.n != 3 or not prof.is_sorted_desc():
+        raise BadProfile(f"need sorted tripartite dims, got {prof.dims}")
+    return prof
 
 
 def maximal_rank_d1(dims: Sequence[int]) -> PureState:
@@ -47,13 +53,11 @@ def maximal_rank_d1(dims: Sequence[int]) -> PureState:
     with (a_i, c_i) the lexicographically first pairs unused by the first two
     sums. Full local ranks; tensor rank exactly d1.
     """
-    prof = profile(dims)
-    if prof.n != 3 or not prof.is_sorted_desc():
-        raise BadProfile(f"need sorted tripartite dims, got {prof.dims}")
+    prof = _sorted_tripartite(dims)
     d1, d2, d3 = prof.dims
     if d3 < 2:
         raise BadProfile("every dimension must be >= 2")
-    if d1 > d2 * d3:
+    if prof.k < 0:
         raise BadProfile(f"requires d1 <= d2*d3, got {prof.dims}")
     used = {(i, i) for i in range(d3)} | {(i, 0) for i in range(d3, d2)}
     free = [(a, c) for a in range(d2) for c in range(d3) if (a, c) not in used]
@@ -137,11 +141,8 @@ def support_projectors(state: PureState) -> core.LocalOperatorTuple:
     """Per-party orthogonal projectors onto the state's local supports."""
     ops = []
     for i in range(state.n):
-        flat = core.flattening(state, {i})
-        u, svals, _ = np.linalg.svd(flat, full_matrices=False)
-        r = core.numerical_rank(svals)
-        basis = u[:, :r]
-        ops.append(basis @ basis.conj().T)
+        perp = core.orthocomplement_basis(core.flattening(state, {i}).T)
+        ops.append(np.eye(state.dims[i]) - perp @ perp.conj().T)
     return core.LocalOperatorTuple(tuple(ops))
 
 
@@ -152,15 +153,13 @@ def canonical_maximal(dims: Sequence[int], r: int) -> PureState:
     orthocomplement, inside d2 x d3, of sum_{j<r} |jj>. Its complement state
     has Schmidt rank r across d2 : d3.
     """
-    prof = profile(dims)
-    if prof.n != 3 or not prof.is_sorted_desc():
-        raise BadProfile(f"need sorted tripartite dims, got {prof.dims}")
-    d1, d2, d3 = prof.dims
-    if d3 < 2 or d1 != d2 * d3 - 1:
+    prof = _sorted_tripartite(dims)
+    _, d2, d3 = prof.dims
+    if prof.k != 1:
         raise BadProfile(f"requires d1 = d2*d3 - 1 and d3 >= 2, got {prof.dims}")
     if not 1 <= r <= min(d2, d3):
         raise BadClassIndex(f"class index {r} outside 1..{min(d2, d3)}")
-    omega = np.zeros(d2 * d3, dtype=complex)
+    omega = np.zeros(prof.tail_product, dtype=complex)
     omega[np.arange(r) * d3 + np.arange(r)] = 1.0
     basis = core.orthocomplement_basis(omega)  # (d2*d3, d1) orthonormal columns
     amps = basis.T.reshape(-1)

@@ -21,6 +21,7 @@ from .errors import (
     LengthMismatch,
     NonFiniteAmplitudes,
     ShapeMismatch,
+    UndecidableError,
     ZeroResult,
     ZeroState,
 )
@@ -75,15 +76,22 @@ class DimsProfile:
     @property
     def tail_product(self) -> int:
         """Product of all but the largest dimension (sorted profile)."""
-        return math.prod(self.sorted_desc[1:]) if self.n > 1 else 1
+        return math.prod(self.sorted_desc[1:])
+
+    @property
+    def deficiency(self) -> int:
+        """tail_product minus the largest dimension; k when tripartite."""
+        return self.tail_product - self.sorted_desc[0]
+
+    @property
+    def has_mes(self) -> bool:
+        """Whether a maximum entangled state exists: deficiency <= 0."""
+        return self.deficiency <= 0
 
     @property
     def k(self) -> Optional[int]:
-        """Deficiency d2*d3 - d1 of the sorted tripartite profile."""
-        if self.n != 3:
-            return None
-        d1, d2, d3 = self.sorted_desc
-        return d2 * d3 - d1
+        """Deficiency d2*d3 - d1 of a tripartite profile; k = 1 is the hyperplane."""
+        return self.deficiency if self.n == 3 else None
 
     def is_sorted_desc(self) -> bool:
         return self.dims == self.sorted_desc
@@ -190,9 +198,14 @@ def make_state(
 
 def numerical_rank(svals: np.ndarray) -> int:
     """Number of singular values (sorted descending) above rank_eps() times the
-    largest; 0 for an empty array. Every rank decision in mes goes through here."""
+    largest; 0 for an empty array. Every rank decision in mes goes through here.
+
+    Raises UndecidableError when the largest is not finite (the SVD overflowed).
+    """
     if svals.size == 0:
         return 0
+    if not math.isfinite(svals[0]):
+        raise UndecidableError(f"largest singular value is {svals[0]}: the rank is undecidable")
     return int(np.count_nonzero(svals > rank_eps() * svals[0]))
 
 
@@ -260,8 +273,11 @@ def apply_local(state: PureState, tup: LocalOperatorTuple) -> PureState:
                 f"operator {i} has {op.shape[1]} columns, party dimension is {state.dims[i]}"
             )
     tens = state.tensor()
-    for i, op in enumerate(tup.ops):
-        tens = np.moveaxis(np.tensordot(op, tens, axes=(1, i)), 0, i)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        for i, op in enumerate(tup.ops):
+            tens = np.moveaxis(np.tensordot(op, tens, axes=(1, i)), 0, i)
+    if not np.isfinite(tens).all():
+        raise NonFiniteAmplitudes("operator tuple gives NaN or infinite amplitudes")
     if not np.any(tens):
         raise ZeroResult("operator tuple annihilates the state")
     out_dims = tuple(op.shape[0] for op in tup.ops)

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import core
 from .core import PureState, profile
-from .errors import NotTripartite, ShapeMismatch, Unsorted
+from .errors import NotTripartite, ShapeMismatch, SingleParty, Unsorted
 
 CERTIFICATE_TOL = 1e-10
 
@@ -50,6 +50,8 @@ class ProductDecomposition:
 
 def flattening_lower_bound(state: PureState) -> int:
     """Max Schmidt rank over all bipartitions; a lower bound on tensor rank."""
+    if state.n < 2:
+        raise SingleParty("at least two parties required")
     return max(
         core.schmidt_rank(state, subset)[0]
         for subset in core.canonical_bipartitions(state.n)
@@ -69,16 +71,16 @@ def space_rank_bounds(dims: Sequence[int]) -> RankBound:
     if not prof.is_sorted_desc():
         raise Unsorted(f"dims {prof.dims} must be sorted non-increasing")
     d1, d2, d3 = prof.dims
-    k = d2 * d3 - d1
-    if k <= 0:
-        return RankBound(d2 * d3, d2 * d3, True, ("flattening",))
+    k, tail = prof.k, prof.tail_product
+    if prof.has_mes:
+        return RankBound(tail, tail, True, ("flattening",))
     lower = max(d1, d1 + math.isqrt(2 * k + 2) - 2)
     provenance = ["flattening", "Thm2(i)"]
     if k <= 4 and k <= max(d2, d3):
-        value = d2 * d3 - math.ceil(k / 2)
+        value = tail - math.ceil(k / 2)
         provenance.append("Thm2(ii)")
         return RankBound(max(lower, value), value, True, tuple(provenance))
-    return RankBound(lower, d2 * d3, False, tuple(provenance))
+    return RankBound(lower, tail, False, tuple(provenance))
 
 
 def expand_decomposition(

@@ -64,8 +64,7 @@ def mes_exists(dims: Sequence[int]) -> bool:
     """
     prof = profile(dims)
     _check_party_dims(prof)
-    sorted_dims = prof.sorted_desc
-    return sorted_dims[0] >= math.prod(sorted_dims[1:])
+    return prof.has_mes
 
 
 def is_maximal(state: PureState) -> bool:
@@ -86,18 +85,15 @@ def complement_map(state: PureState, pivot: int) -> ComplementClass:
         raise ProfileMismatch(f"pivot {pivot} out of range for {n} parties")
     d_pivot = state.dims[pivot]
     rest_dims = tuple(state.dims[i] for i in range(n) if i != pivot)
-    k = math.prod(rest_dims) - d_pivot
+    rest = math.prod(rest_dims)
+    k = rest - d_pivot
     if k < 1:
         raise NonPositiveK(f"pivot dimension {d_pivot} >= product of the rest")
-    rank, _ = core.schmidt_rank(state, {pivot})
-    if rank < d_pivot:
-        raise PivotRankDeficient(
-            f"pivot local rank {rank} < dimension {d_pivot}"
-        )
-    flat = core.flattening(state, {pivot})  # rows are the phi_i
-    perp = core.orthocomplement_basis(flat)  # orthonormal columns
+    perp = core.orthocomplement_basis(core.flattening(state, {pivot}))
     if perp.shape[1] != k:
-        raise PivotRankDeficient("degenerate flattening: wrong complement dimension")
+        raise PivotRankDeficient(
+            f"pivot local rank {rest - perp.shape[1]} < dimension {d_pivot}"
+        )
     comp = PureState(
         profile((k,) + rest_dims), perp.T.reshape(-1), label="complement"
     )
@@ -114,6 +110,10 @@ def classify_hyperplane(state: PureState) -> int:
     parties; two maximal states on the same profile are SLOCC equivalent iff
     their labels agree.
     """
+    return _hyperplane_complement(state).label
+
+
+def _hyperplane_complement(state: PureState) -> ComplementClass:
     prof = state.profile
     if prof.n != 3:
         raise NotHyperplaneProfile(
@@ -122,12 +122,11 @@ def classify_hyperplane(state: PureState) -> int:
         )
     if not prof.is_sorted_desc():
         raise NotHyperplaneProfile(f"dims {prof.dims} must be sorted non-increasing")
-    d1, d2, d3 = prof.dims
-    if d3 < 2 or d1 != d2 * d3 - 1:
+    if prof.k != 1:
         raise NotHyperplaneProfile(f"requires d1 = d2*d3 - 1, got {prof.dims}")
     if not is_maximal(state):
         raise NotMaximal("state does not have full local ranks")
-    return complement_map(state, 0).label
+    return complement_map(state, 0)
 
 
 def equiv_bipartite(a: PureState, b: PureState) -> bool:
@@ -173,15 +172,14 @@ def reach_from_mes(dims: Sequence[int], target: PureState) -> LocalOperatorTuple
     """
     prof = profile(dims)
     _check_party_dims(prof)
-    if not mes_exists(prof.dims) or not prof.is_sorted_desc():
+    if not prof.has_mes or not prof.is_sorted_desc():
         raise ConditionViolated(f"no maximum entangled state for dims {prof.dims}")
     if target.dims != prof.dims:
         raise ProfileMismatch(f"target dims {target.dims} != {prof.dims}")
     d1 = prof.dims[0]
-    tail = math.prod(prof.dims[1:])
-    flat = core.flattening(target, {0})  # d1 x tail
+    flat = core.flattening(target, {0})  # d1 x tail_product
     l1 = np.zeros((d1, d1), dtype=complex)
-    l1[:, :tail] = flat
+    l1[:, :flat.shape[1]] = flat
     ops = (l1,) + tuple(np.eye(d, dtype=complex) for d in prof.dims[1:])
     return LocalOperatorTuple(ops)
 
@@ -210,17 +208,14 @@ def hyperplane_equivalence_tuple(
     """
     if target.dims != source.dims:
         raise ProfileMismatch(f"dims differ: {target.dims} vs {source.dims}")
-    r_target = classify_hyperplane(target)
-    r_source = classify_hyperplane(source)
-    if r_target != r_source:
+    cc_t, cc_s = _hyperplane_complement(target), _hyperplane_complement(source)
+    if cc_t.label != cc_s.label:
         raise ConditionViolated(
-            f"class labels differ: {r_target} vs {r_source}; states are inequivalent"
+            f"class labels differ: {cc_t.label} vs {cc_s.label}; states are inequivalent"
         )
-    d1, d2, d3 = target.dims
-    comp_t = complement_map(target, 0).complement_state.amplitudes.reshape(d2, d3)
-    comp_s = complement_map(source, 0).complement_state.amplitudes.reshape(d2, d3)
-    at, bt = _bipartite_slocc_factors(comp_t)
-    as_, bs = _bipartite_slocc_factors(comp_s)
+    # both complement states are 1 x d2 x d3
+    at, bt = _bipartite_slocc_factors(cc_t.complement_state.tensor()[0])
+    as_, bs = _bipartite_slocc_factors(cc_s.complement_state.tensor()[0])
     # m2 (x) m3 maps the source complement onto the target complement; the
     # operators acting on the states themselves are the inverse adjoints.
     m2 = at @ np.linalg.inv(as_)
@@ -228,7 +223,7 @@ def hyperplane_equivalence_tuple(
     l2 = np.linalg.inv(m2.conj().T)
     l3 = np.linalg.inv(m3.conj().T)
     partial = core.apply_local(
-        source, LocalOperatorTuple((np.eye(d1, dtype=complex), l2, l3))
+        source, LocalOperatorTuple((np.eye(target.dims[0], dtype=complex), l2, l3))
     )
     flat_partial = core.flattening(partial, {0})
     flat_target = core.flattening(target, {0})
@@ -260,27 +255,25 @@ def finite_class_catalog(dims: Sequence[int]) -> CatalogEntry:
     prof = profile(dims)
     _check_party_dims(prof)
     sorted_dims = prof.sorted_desc
-    rest = math.prod(sorted_dims[1:])
-    k = rest - sorted_dims[0]
     if sorted_dims == (4, 3, 2):
         return CatalogEntry(sorted_dims, True, max_class_count=5,
                             source="enumerated 4x3x2 maximal classes")
     if sorted_dims == (3, 2, 2):
         return CatalogEntry(sorted_dims, True, max_class_count=2,
                             total_class_count=8, source="3x2x2 enumeration")
-    if k <= 0:
+    if prof.has_mes:
         # a maximum entangled state exists and dominates every state
         return CatalogEntry(sorted_dims, True, max_class_count=1,
                             source="maximum entangled state")
-    # the clauses below presuppose 1 <= k < rest/2
-    if 1 <= k and 2 * k < rest:
-        if k == 1 and prof.n == 3:
+    # the clauses below presuppose 1 <= deficiency < tail_product/2
+    if 2 * prof.deficiency < prof.tail_product:
+        if prof.k == 1:
             return CatalogEntry(
                 sorted_dims, True,
                 max_class_count=min(sorted_dims[1], sorted_dims[2]),
                 source="hyperplane class count",
             )
-        if k == 1:
+        if prof.deficiency == 1:
             return CatalogEntry(sorted_dims, True,
                                 source="hyperplane correspondence")
         family = _corollary_family_match(sorted_dims)

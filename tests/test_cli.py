@@ -255,3 +255,35 @@ def test_byte_identical_reports(capsys, tmp_path, phi2_322):
         _, out, _ = run(capsys, "--json", "local-ranks", path)
         outputs.add(out)
     assert len(outputs) == 1
+
+
+OVERFLOWING = {"dims": [2, 2], "amps": [[1e308, 1e308]] * 4}
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank-lb"], ["maximal"], ["schmidt", "--subset", "0"], ["local-ranks"],
+])
+def test_overflowing_state_is_undecidable(capsys, tmp_path, argv):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(OVERFLOWING))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 3
+    assert out == "" and "undecidable" in err
+
+
+@pytest.mark.parametrize("entry", [np.nan, 1e308])  # 1e308 * 1e308 overflows
+def test_apply_non_finite_result_exit_2(capsys, tmp_path, bell, entry):
+    state = write_state(tmp_path, "bell.json", bell)
+    op = {"rows": 2, "cols": 2, "entries": [[entry, 0]] * 4}
+    ops_path = tmp_path / "ops.json"
+    ops_path.write_text(json.dumps({"ops": [op, op]}))
+    code, out, err = run(capsys, "apply", state, str(ops_path))
+    assert code == 2
+    assert out == "" and "finite" in err
+
+
+def test_rank_lb_single_party_exit_2(capsys, tmp_path):
+    path = write_state(tmp_path, "one.json", core.make_state([2], [1, 0]))
+    code, out, err = run(capsys, "rank-lb", path)
+    assert code == 2
+    assert out == "" and "two parties" in err

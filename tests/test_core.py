@@ -17,6 +17,7 @@ from mes.errors import (
     LengthMismatch,
     NonFiniteAmplitudes,
     ShapeMismatch,
+    UndecidableError,
     ZeroResult,
     ZeroState,
 )
@@ -256,3 +257,33 @@ def test_every_rank_decision_shares_the_cutoff(monkeypatch, eps, rank):
 
 def test_numerical_rank_of_nothing_is_zero():
     assert core.numerical_rank(np.zeros(0)) == 0
+
+
+def test_hyperplane_equivalence_computes_each_complement_once(svd_calls):
+    # 3 local ranks and 2 complement SVDs per state, then 2 bipartite normal forms
+    target = construct.canonical_maximal((3, 2, 2), 2)
+    tup = core.random_invertible_tuple(target.dims, np.random.default_rng(6))
+    source = apply_local(target, tup)
+    svd_calls.clear()
+    slocc.hyperplane_equivalence_tuple(target, source)
+    assert len(svd_calls) == 12
+
+
+def test_complement_map_decides_pivot_rank_once(svd_calls):
+    # one SVD of the pivot flattening, one for the label
+    state = construct.canonical_maximal((5, 3, 2), 1)
+    svd_calls.clear()
+    assert slocc.complement_map(state, 0).label == 1
+    assert len(svd_calls) == 2
+
+
+def test_numerical_rank_of_overflowed_singular_values_is_undecidable():
+    with pytest.raises(UndecidableError):
+        core.numerical_rank(np.array([np.inf, 0.0]))
+
+
+@pytest.mark.parametrize("entry", [np.nan, 1e308])
+def test_apply_local_rejects_non_finite_result(bell, entry):
+    op = np.full((2, 2), entry, dtype=complex)
+    with pytest.raises(NonFiniteAmplitudes):
+        apply_local(bell, LocalOperatorTuple((op, op)))
