@@ -6,41 +6,5 @@ plus a JSON-speaking CLI (`mes`).
 """
 
 from . import construct, core, io, rank, slocc
-from .core import (
-    DimsProfile,
-    LocalOperatorTuple,
-    PartyPartition,
-    PureState,
-    RankProfile,
-    apply_local,
-    group_parties,
-    local_ranks,
-    make_state,
-    schmidt_rank,
-)
-from .rank import ProductDecomposition, RankBound
-from .slocc import CatalogEntry, ComplementClass
-
-__all__ = [
-    "CatalogEntry",
-    "ComplementClass",
-    "DimsProfile",
-    "LocalOperatorTuple",
-    "PartyPartition",
-    "ProductDecomposition",
-    "PureState",
-    "RankBound",
-    "RankProfile",
-    "apply_local",
-    "construct",
-    "core",
-    "group_parties",
-    "io",
-    "local_ranks",
-    "make_state",
-    "rank",
-    "schmidt_rank",
-    "slocc",
-]
 
 __version__ = "0.1.0"

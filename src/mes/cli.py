@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 decided, 1 I/O or parse failure, 2 precondition violation,
-3 undecidable. With --json every command emits one JSON object
+Exit codes: 0 decided, 1 I/O, parse or allocation failure, 2 precondition
+violation, 3 undecidable. With --json every command emits one JSON object
 {"command", "input", "result", "provenance"}; `construct` and `apply`
 without --json print the bare state JSON so their output feeds every
 consuming command.
@@ -190,6 +190,7 @@ COMMANDS = {
             _arg("--m", type=int, help="matrix size for matmul"),
             _arg("--which", type=int, default=0, choices=[0, 1], help="case1 member"),
             _arg("--state", help="input state for augment"),
+            _arg("--seed", type=int, default=0, help="seed for augment's random redraws"),
             _arg("-o", "--out", help="also write the state JSON to this path"),
         ],
         ("family",), _construct),
@@ -220,14 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mes",
         description="Multipartite entanglement analysis under stochastic LOCC.",
     )
-    # The global flags are accepted after the subcommand too.  SUPPRESS keeps
-    # the subparser from clobbering a value given before the subcommand.
-    global_flags = [("--json", {"action": "store_true", "help": "machine-readable report"}, False),
-                    ("--seed", {"type": int, "help": "seed for randomized steps"}, 0)]
+    # --json is accepted after the subcommand too.  SUPPRESS keeps the
+    # subparser from clobbering a value given before the subcommand.
+    json_flag = {"action": "store_true", "help": "machine-readable report"}
+    parser.add_argument("--json", default=False, **json_flag)
     common = argparse.ArgumentParser(add_help=False)
-    for flag, kwargs, default in global_flags:
-        parser.add_argument(flag, default=default, **kwargs)
-        common.add_argument(flag, default=argparse.SUPPRESS, **kwargs)
+    common.add_argument("--json", default=argparse.SUPPRESS, **json_flag)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help, parents=[common])
@@ -257,7 +256,7 @@ def main(argv: Optional[list] = None) -> int:
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 2
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError, MemoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,7 +7,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from . import core
-from .core import PureState, profile
+from .core import DimsProfile, PureState
 from .errors import BadClassIndex, BadDimension, BadProfile, ConditionViolated
 
 
@@ -17,7 +17,7 @@ def epr(d: int) -> PureState:
         raise BadDimension(f"EPR dimension must be >= 2, got {d}")
     amps = np.zeros(d * d, dtype=complex)
     amps[np.arange(d) * d + np.arange(d)] = 1.0
-    return PureState(profile((d, d)), amps, label=f"epr({d})")
+    return PureState(DimsProfile((d, d)), amps)
 
 
 def mes_state(dims: Sequence[int]) -> PureState:
@@ -26,7 +26,7 @@ def mes_state(dims: Sequence[int]) -> PureState:
     decode(j) is the j-th lexicographic product basis vector of the tail
     parties, so the amplitude of |j>|j> (tail index flattened) is 1.
     """
-    prof = profile(dims)
+    prof = DimsProfile(dims)
     if prof.n < 2 or not prof.is_sorted_desc():
         raise ConditionViolated(f"dims {prof.dims} must be sorted non-increasing, n >= 2")
     tail = prof.tail_product
@@ -36,11 +36,11 @@ def mes_state(dims: Sequence[int]) -> PureState:
         )
     amps = np.zeros(prof.total_dim, dtype=complex)
     amps[np.arange(tail) * tail + np.arange(tail)] = 1.0
-    return PureState(prof, amps, label=f"mes{prof.dims}")
+    return PureState(prof, amps)
 
 
 def _sorted_tripartite(dims: Sequence[int]) -> core.DimsProfile:
-    prof = profile(dims)
+    prof = DimsProfile(dims)
     if prof.n != 3 or not prof.is_sorted_desc():
         raise BadProfile(f"need sorted tripartite dims, got {prof.dims}")
     return prof
@@ -69,7 +69,7 @@ def maximal_rank_d1(dims: Sequence[int]) -> PureState:
     for i in range(d2, d1):
         a, c = free[i - d2]
         tens[i, a, c] = 1.0
-    return PureState(prof, tens.reshape(-1), label=f"maximal_rank_d1{prof.dims}")
+    return PureState(prof, tens.reshape(-1))
 
 
 def rank_d1_terms(dims: Sequence[int]) -> list:
@@ -163,7 +163,7 @@ def canonical_maximal(dims: Sequence[int], r: int) -> PureState:
     omega[np.arange(r) * d3 + np.arange(r)] = 1.0
     basis = core.orthocomplement_basis(omega)  # (d2*d3, d1) orthonormal columns
     amps = basis.T.reshape(-1)
-    return PureState(prof, amps, label=f"canonical_maximal{prof.dims}[r={r}]")
+    return PureState(prof, amps)
 
 
 def matmul_tensor(m: int) -> PureState:
@@ -176,7 +176,7 @@ def matmul_tensor(m: int) -> PureState:
         for j in range(m):
             for k in range(m):
                 tens[i * m + j, i * m + k, k * m + j] += 1.0
-    return PureState(profile((d, d, d)), tens.reshape(-1), label=f"matmul({m})")
+    return PureState(DimsProfile((d, d, d)), tens.reshape(-1))
 
 
 def case1_pair(d: int) -> Tuple[PureState, PureState]:
@@ -191,9 +191,7 @@ def case1_pair(d: int) -> Tuple[PureState, PureState]:
     pair = np.einsum(
         "ab,cd->abcd", epr(d).tensor(), epr(d).tensor()
     )
-    prof = profile((d, d, d, d))
-    first = PureState(prof, pair.reshape(-1), label=f"case1_ab_cd({d})")
-    second = PureState(
-        prof, pair.transpose(0, 2, 1, 3).reshape(-1), label=f"case1_ac_bd({d})"
-    )
+    prof = DimsProfile((d, d, d, d))
+    first = PureState(prof, pair.reshape(-1))
+    second = PureState(prof, pair.transpose(0, 2, 1, 3).reshape(-1))
     return first, second

@@ -1,8 +1,7 @@
 """Dense multipartite pure-state algebra.
 
 States are unnormalized complex amplitude vectors stored row-major over the
-party multi-index (party 0 varies slowest). All functions are pure; random
-helpers take an explicit numpy Generator.
+party multi-index (party 0 varies slowest). All functions are pure.
 """
 
 from __future__ import annotations
@@ -27,10 +26,6 @@ from .errors import (
 )
 
 DEFAULT_RANK_EPS = 1e-9
-
-# Random invertible draws are rejected while sigma_min < this times sigma_max,
-# keeping rank decisions far from the cutoff.
-INVERTIBLE_CONDITION_FLOOR = 1e-3
 
 
 def rank_eps() -> float:
@@ -97,22 +92,18 @@ class DimsProfile:
         return self.dims == self.sorted_desc
 
 
-def profile(dims: Sequence[int]) -> DimsProfile:
-    return DimsProfile(tuple(dims))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Unnormalized pure state: profile plus flat amplitude vector.
 
     The state owns a read-only copy of its amplitudes, so the singular values
-    that schmidt_rank caches per cut in _svals cannot go stale.
+    that schmidt_rank caches per cut in _svals cannot go stale. Equality and
+    hashing are by identity: amplitudes are arrays.
     """
 
     profile: DimsProfile
     amplitudes: np.ndarray
-    label: Optional[str] = None
-    _svals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _svals: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
@@ -131,9 +122,12 @@ class PureState:
         return self.amplitudes.reshape(self.dims)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalOperatorTuple:
-    """One linear operator per party; op i has shape (out_i, in_i)."""
+    """One linear operator per party; op i has shape (out_i, in_i).
+
+    Equality and hashing are by identity: operators are arrays.
+    """
 
     ops: tuple
 
@@ -150,27 +144,6 @@ class LocalOperatorTuple:
 
 
 @dataclass(frozen=True)
-class PartyPartition:
-    """Ordered disjoint groups of party indices covering 0..n-1."""
-
-    groups: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "groups", tuple(tuple(int(i) for i in g) for g in self.groups)
-        )
-
-    def validate(self, n: int) -> None:
-        seen = [i for g in self.groups for i in g]
-        if sorted(seen) != list(range(n)):
-            raise InvalidPartition(
-                f"groups {self.groups} do not partition parties 0..{n - 1}"
-            )
-        if any(len(g) == 0 for g in self.groups):
-            raise InvalidPartition("empty group")
-
-
-@dataclass(frozen=True)
 class RankProfile:
     """Single-party ranks plus Schmidt ranks of every canonical bipartition."""
 
@@ -178,12 +151,10 @@ class RankProfile:
     bipartition_ranks: Mapping
 
 
-def make_state(
-    dims: Sequence[int], amplitudes: Sequence[complex], label: Optional[str] = None
-) -> PureState:
+def make_state(dims: Sequence[int], amplitudes: Sequence[complex]) -> PureState:
     """Validated state constructor; rejects length mismatch, NaN or infinite
     amplitudes and the zero vector."""
-    prof = profile(dims)
+    prof = DimsProfile(dims)
     amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if amps.size != prof.total_dim:
         raise LengthMismatch(
@@ -193,7 +164,7 @@ def make_state(
         raise NonFiniteAmplitudes("amplitudes must be finite, got NaN or infinity")
     if not np.any(amps):
         raise ZeroState("all amplitudes are zero")
-    return PureState(prof, amps, label)
+    return PureState(prof, amps)
 
 
 def numerical_rank(svals: np.ndarray) -> int:
@@ -281,67 +252,25 @@ def apply_local(state: PureState, tup: LocalOperatorTuple) -> PureState:
     if not np.any(tens):
         raise ZeroResult("operator tuple annihilates the state")
     out_dims = tuple(op.shape[0] for op in tup.ops)
-    return PureState(profile(out_dims), tens.reshape(-1), state.label)
+    return PureState(DimsProfile(out_dims), tens.reshape(-1))
 
 
-def group_parties(state: PureState, partition: PartyPartition) -> PureState:
-    """Coarsen the profile by merging each group into one party (re-indexing only)."""
-    partition.validate(state.n)
-    order = [i for g in partition.groups for i in g]
+def group_parties(state: PureState, groups: Sequence[Sequence[int]]) -> PureState:
+    """Coarsen the profile by merging each group into one party (re-indexing only).
+
+    The groups must be non-empty, disjoint and cover parties 0..n-1.
+    """
+    groups = tuple(tuple(int(i) for i in g) for g in groups)
+    order = [i for g in groups for i in g]
+    if sorted(order) != list(range(state.n)):
+        raise InvalidPartition(
+            f"groups {groups} do not partition parties 0..{state.n - 1}"
+        )
+    if any(len(g) == 0 for g in groups):
+        raise InvalidPartition("empty group")
     tens = state.tensor().transpose(order)
-    new_dims = tuple(
-        math.prod(state.dims[i] for i in g) for g in partition.groups
-    )
-    return PureState(profile(new_dims), tens.reshape(-1), state.label)
-
-
-def identity_tuple(dims: Sequence[int]) -> LocalOperatorTuple:
-    return LocalOperatorTuple(tuple(np.eye(d, dtype=complex) for d in dims))
-
-
-def _random_complex(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-
-
-def random_invertible_tuple(
-    dims: Sequence[int], rng: np.random.Generator
-) -> LocalOperatorTuple:
-    """Square complex-Gaussian operators, redrawn while badly conditioned."""
-    ops = []
-    for d in dims:
-        while True:
-            op = _random_complex(rng, d, d)
-            svals = np.linalg.svd(op, compute_uv=False)
-            if svals[-1] > INVERTIBLE_CONDITION_FLOOR * svals[0]:
-                break
-        ops.append(op)
-    return LocalOperatorTuple(tuple(ops))
-
-
-def random_singular_tuple(
-    dims: Sequence[int], rng: np.random.Generator
-) -> LocalOperatorTuple:
-    """Random tuple with at least one rank-deficient operator."""
-    ops = []
-    for d in dims:
-        r = int(rng.integers(1, d + 1))
-        ops.append(_random_complex(rng, d, r) @ _random_complex(rng, r, d))
-    # force deficiency somewhere so monotonicity is tested off the invertible case
-    j = int(rng.integers(0, len(ops)))
-    d = dims[j]
-    r = max(1, d - 1)
-    ops[j] = _random_complex(rng, d, r) @ _random_complex(rng, r, d)
-    return LocalOperatorTuple(tuple(ops))
-
-
-def random_state(
-    dims: Sequence[int], rng: np.random.Generator, label: Optional[str] = None
-) -> PureState:
-    prof = profile(dims)
-    amps = rng.standard_normal(prof.total_dim) + 1j * rng.standard_normal(
-        prof.total_dim
-    )
-    return PureState(prof, amps, label)
+    new_dims = tuple(math.prod(state.dims[i] for i in g) for g in groups)
+    return PureState(DimsProfile(new_dims), tens.reshape(-1))
 
 
 def orthocomplement_basis(rows: np.ndarray) -> np.ndarray:

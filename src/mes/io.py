@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import operator
 from itertools import chain
-from typing import Optional
 
 import numpy as np
 
@@ -41,13 +40,13 @@ def state_to_dict(state: PureState) -> dict:
     return {"dims": list(state.dims), "amps": _pairs(state.amplitudes)}
 
 
-def state_from_dict(data: dict, label: Optional[str] = None) -> PureState:
+def state_from_dict(data: dict) -> PureState:
     if not isinstance(data, dict):
         raise ValueError("a state must be a JSON object")
     dims = data["dims"]
     if type(dims) is not list or any(type(d) is not int for d in dims):
         raise ValueError(f"dims must be a list of integers, got {dims!r}")
-    return make_state(dims, _complex(data["amps"]), label=label)
+    return make_state(dims, _complex(data["amps"]))
 
 
 def ops_to_dict(tup: LocalOperatorTuple) -> dict:
@@ -94,9 +93,9 @@ def decomposition_from_dict(data: dict) -> ProductDecomposition:
     return ProductDecomposition(tuple(tuple(_complex(v) for v in term) for term in terms))
 
 
-def load_state(path: str, label: Optional[str] = None) -> PureState:
+def load_state(path: str) -> PureState:
     with open(path) as fh:
-        return state_from_dict(json.load(fh), label=label)
+        return state_from_dict(json.load(fh))
 
 
 def save_state(state: PureState, path: str) -> None:

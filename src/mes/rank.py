@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import core
-from .core import PureState, profile
+from .core import DimsProfile, PureState
 from .errors import NotTripartite, ShapeMismatch, SingleParty, Unsorted
 
 CERTIFICATE_TOL = 1e-10
@@ -31,9 +31,12 @@ class RankBound:
             raise ValueError("exact bound must have lower == upper")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductDecomposition:
-    """Candidate decomposition: one vector per party per term."""
+    """Candidate decomposition: one vector per party per term.
+
+    Equality and hashing are by identity: the vectors are arrays.
+    """
 
     terms: tuple
 
@@ -65,7 +68,7 @@ def space_rank_bounds(dims: Sequence[int]) -> RankBound:
     when 0 <= k <= 4 and k <= max(d2, d3); otherwise lower bounded by
     d1 + floor(sqrt(2k+2)) - 2 and upper bounded by d2*d3.
     """
-    prof = profile(dims)
+    prof = DimsProfile(dims)
     if prof.n != 3:
         raise NotTripartite(f"need three parties, got {prof.n}")
     if not prof.is_sorted_desc():
@@ -87,7 +90,7 @@ def expand_decomposition(
     dims: Sequence[int], decomposition: ProductDecomposition
 ) -> np.ndarray:
     """Sum of outer products of the terms, as a flat amplitude vector."""
-    prof = profile(dims)
+    prof = DimsProfile(dims)
     total = np.zeros(prof.dims, dtype=complex)
     for t, term in enumerate(decomposition.terms):
         if len(term) != prof.n:

@@ -9,7 +9,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import core
-from .core import DimsProfile, LocalOperatorTuple, PureState, profile
+from .core import DimsProfile, LocalOperatorTuple, PureState
 from .errors import (
     ConditionViolated,
     NonPositiveK,
@@ -62,7 +62,7 @@ def mes_exists(dims: Sequence[int]) -> bool:
     True iff the largest dimension is at least the product of the others;
     the input order is irrelevant.
     """
-    prof = profile(dims)
+    prof = DimsProfile(dims)
     _check_party_dims(prof)
     return prof.has_mes
 
@@ -94,9 +94,7 @@ def complement_map(state: PureState, pivot: int) -> ComplementClass:
         raise PivotRankDeficient(
             f"pivot local rank {rest - perp.shape[1]} < dimension {d_pivot}"
         )
-    comp = PureState(
-        profile((k,) + rest_dims), perp.T.reshape(-1), label="complement"
-    )
+    comp = PureState(DimsProfile((k,) + rest_dims), perp.T.reshape(-1))
     label = None
     if n == 3 and k == 1:
         label = core.schmidt_rank(comp, {1})[0]
@@ -170,7 +168,7 @@ def reach_from_mes(dims: Sequence[int], target: PureState) -> LocalOperatorTuple
     The columns of L1 are read off the target's pivot-vs-rest flattening, so
     the reproduction is exact up to floating-point copying.
     """
-    prof = profile(dims)
+    prof = DimsProfile(dims)
     _check_party_dims(prof)
     if not prof.has_mes or not prof.is_sorted_desc():
         raise ConditionViolated(f"no maximum entangled state for dims {prof.dims}")
@@ -252,7 +250,7 @@ def finite_class_catalog(dims: Sequence[int]) -> CatalogEntry:
     Pure lookup: no classification is attempted. Profiles matching no clause
     are reported as finite=False meaning unknown, not infinite.
     """
-    prof = profile(dims)
+    prof = DimsProfile(dims)
     _check_party_dims(prof)
     sorted_dims = prof.sorted_desc
     if sorted_dims == (4, 3, 2):

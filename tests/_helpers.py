@@ -1,0 +1,59 @@
+"""Random states and operator tuples for tests; every draw takes an explicit
+numpy Generator."""
+
+from typing import Sequence
+
+import numpy as np
+
+from mes.core import DimsProfile, LocalOperatorTuple, PureState
+
+# Random invertible draws are rejected while sigma_min < this times sigma_max,
+# keeping rank decisions far from the cutoff.
+INVERTIBLE_CONDITION_FLOOR = 1e-3
+
+
+def identity_tuple(dims: Sequence[int]) -> LocalOperatorTuple:
+    return LocalOperatorTuple(tuple(np.eye(d, dtype=complex) for d in dims))
+
+
+def _random_complex(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def random_invertible_tuple(
+    dims: Sequence[int], rng: np.random.Generator
+) -> LocalOperatorTuple:
+    """Square complex-Gaussian operators, redrawn while badly conditioned."""
+    ops = []
+    for d in dims:
+        while True:
+            op = _random_complex(rng, d, d)
+            svals = np.linalg.svd(op, compute_uv=False)
+            if svals[-1] > INVERTIBLE_CONDITION_FLOOR * svals[0]:
+                break
+        ops.append(op)
+    return LocalOperatorTuple(tuple(ops))
+
+
+def random_singular_tuple(
+    dims: Sequence[int], rng: np.random.Generator
+) -> LocalOperatorTuple:
+    """Random tuple with at least one rank-deficient operator."""
+    ops = []
+    for d in dims:
+        r = int(rng.integers(1, d + 1))
+        ops.append(_random_complex(rng, d, r) @ _random_complex(rng, r, d))
+    # force deficiency somewhere so monotonicity is tested off the invertible case
+    j = int(rng.integers(0, len(ops)))
+    d = dims[j]
+    r = max(1, d - 1)
+    ops[j] = _random_complex(rng, d, r) @ _random_complex(rng, r, d)
+    return LocalOperatorTuple(tuple(ops))
+
+
+def random_state(dims: Sequence[int], rng: np.random.Generator) -> PureState:
+    prof = DimsProfile(dims)
+    amps = rng.standard_normal(prof.total_dim) + 1j * rng.standard_normal(
+        prof.total_dim
+    )
+    return PureState(prof, amps)

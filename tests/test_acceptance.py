@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from _helpers import random_invertible_tuple, random_singular_tuple, random_state
 from mes import construct, core, rank, slocc
 
 
@@ -40,7 +41,7 @@ def test_criterion_2_sufficiency_witness():
             continue
         mes = construct.mes_state(dims)
         for _ in range(50):
-            target = core.random_state(dims, rng)
+            target = random_state(dims, rng)
             tup = slocc.reach_from_mes(dims, target)
             out = core.apply_local(mes, tup)
             ok = ok and np.max(np.abs(out.amplitudes - target.amplitudes)) <= 1e-12
@@ -76,7 +77,7 @@ def test_criterion_4_hyperplane_classification(phi1_322, phi2_322):
     rng = np.random.default_rng(4)
     for state, r in labelled:
         for _ in range(100):
-            tup = core.random_invertible_tuple(state.dims, rng)
+            tup = random_invertible_tuple(state.dims, rng)
             ok = ok and slocc.classify_hyperplane(core.apply_local(state, tup)) == r
     report(4, "hyperplane classification", ok)
 
@@ -128,12 +129,12 @@ def test_criterion_8_monotonicity():
     checked = 0
     while checked < 200:
         dims = profiles[int(rng.integers(len(profiles)))]
-        state = core.random_state(dims, rng)
+        state = random_state(dims, rng)
         before = {
             s: core.schmidt_rank(state, s)[0]
             for s in core.canonical_bipartitions(3)
         }
-        tup = core.random_singular_tuple(dims, rng)
+        tup = random_singular_tuple(dims, rng)
         try:
             out = core.apply_local(state, tup)
         except core.ZeroResult:  # pragma: no cover
@@ -152,13 +153,13 @@ def test_criterion_9_refinement():
     ok = True
     produced = 0
     while produced < 50:
-        state = core.random_state((2, 2, 2, 2), rng)
+        state = random_state((2, 2, 2, 2), rng)
         if not slocc.is_maximal(state):
             continue
         produced += 1
         refined_maximal = slocc.is_maximal(state)
         for groups in pairings:
-            grouped = core.group_parties(state, core.PartyPartition(groups))
+            grouped = core.group_parties(state, groups)
             if slocc.is_maximal(grouped) and not refined_maximal:
                 ok = False
     report(9, "refinement preserves maximality", ok)

@@ -287,3 +287,21 @@ def test_rank_lb_single_party_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "rank-lb", path)
     assert code == 2
     assert out == "" and "two parties" in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_unallocatable_state_exit_1(capsys, flags):
+    # 536870912^2 complex amplitudes take 4 EiB, beyond any 64-bit user address space
+    code, out, err = run(capsys, *flags, "construct", "epr", "--d", "536870912")
+    assert (code, out) == (1, "")
+    assert err.startswith("input error: ")
+
+
+def test_seed_is_an_option_of_construct_only(capsys, tmp_path):
+    path = write_state(tmp_path, "product.json", core.make_state([2, 2, 2], [1] + [0] * 7))
+    assert run(capsys, "construct", "augment", "--state", path, "--seed", "3")[0] == 0
+    for argv in (["--seed", "3", "construct", "epr", "--d", "2"],
+                 ["maximal", path, "--seed", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

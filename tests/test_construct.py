@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _helpers import random_state
 from mes import construct, core, rank, slocc
 from mes.errors import BadClassIndex, BadDimension, BadProfile, ConditionViolated
 
@@ -101,7 +102,7 @@ def test_augment_never_decreases_bipartition_ranks():
     rng = np.random.default_rng(7)
     for _ in range(10):
         dims = tuple(sorted(rng.integers(2, 5, size=3), reverse=True))
-        s = core.random_state(dims, rng)
+        s = random_state(dims, rng)
         # kill some local ranks by projecting
         ops = []
         for d in dims:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from _helpers import identity_tuple, random_invertible_tuple, random_state
 from mes import construct, core, rank, slocc
 from mes.core import (
     LocalOperatorTuple,
-    PartyPartition,
     apply_local,
     group_parties,
     local_ranks,
@@ -58,11 +58,11 @@ def test_make_state_phi2(phi2_322):
 
 
 def test_profile_derived_quantities():
-    prof = core.profile([2, 3, 5])
+    prof = core.DimsProfile([2, 3, 5])
     assert prof.sorted_desc == (5, 3, 2)
     assert prof.tail_product == 6
     assert prof.k == 1
-    assert core.profile([2, 2]).k is None
+    assert core.DimsProfile([2, 2]).k is None
 
 
 def test_schmidt_rank_bell(bell):
@@ -109,13 +109,13 @@ def test_local_ranks_w_state(w_state):
 
 def test_bipartition_count_four_parties():
     rng = np.random.default_rng(0)
-    s = core.random_state([2, 2, 2, 2], rng)
+    s = random_state([2, 2, 2, 2], rng)
     prof = local_ranks(s)
     assert len(prof.bipartition_ranks) == 7
 
 
 def test_apply_local_identity(ghz):
-    out = apply_local(ghz, core.identity_tuple(ghz.dims))
+    out = apply_local(ghz, identity_tuple(ghz.dims))
     assert np.array_equal(out.amplitudes, ghz.amplitudes)
 
 
@@ -124,7 +124,7 @@ def test_apply_local_projector_recovers_augmented(phi1_322):
     tens = np.zeros((4, 2, 2), dtype=complex)
     tens[:3] = phi1_322.tensor()
     tens[3, 1, 0] = 1.0
-    extended = core.PureState(core.profile((4, 2, 2)), tens.reshape(-1))
+    extended = core.PureState(core.DimsProfile((4, 2, 2)), tens.reshape(-1))
     proj = np.zeros((3, 4), dtype=complex)
     proj[:, :3] = np.eye(3)
     out = apply_local(
@@ -153,7 +153,7 @@ def test_apply_local_shape_mismatch(bell):
 
 
 def test_group_parties_ghz(ghz):
-    grouped = group_parties(ghz, PartyPartition(((0,), (1, 2))))
+    grouped = group_parties(ghz, ((0,), (1, 2)))
     assert grouped.dims == (2, 4)
     assert np.array_equal(grouped.amplitudes, ghz.amplitudes)
 
@@ -162,15 +162,15 @@ def test_group_parties_product_across_cut():
     from mes.construct import case1_pair
 
     first, _ = case1_pair(2)
-    grouped = group_parties(first, PartyPartition(((0, 1), (2, 3))))
+    grouped = group_parties(first, ((0, 1), (2, 3)))
     assert schmidt_rank(grouped, {0})[0] == 1
 
 
 def test_group_parties_invalid_partition(ghz):
     with pytest.raises(InvalidPartition):
-        group_parties(ghz, PartyPartition(((0,), (1,))))
+        group_parties(ghz, ((0,), (1,)))
     with pytest.raises(InvalidPartition):
-        group_parties(ghz, PartyPartition(((0, 1), (1, 2))))
+        group_parties(ghz, ((0, 1), (1, 2)))
 
 
 def test_rank_eps_env_override(monkeypatch):
@@ -203,7 +203,7 @@ def svd_calls(monkeypatch):
 
 
 def test_one_svd_per_distinct_cut_tripartite(svd_calls):
-    s = core.random_state((3, 3, 3), np.random.default_rng(1))
+    s = random_state((3, 3, 3), np.random.default_rng(1))
     assert slocc.is_maximal(s)
     local_ranks(s)
     assert rank.flattening_lower_bound(s) == 3
@@ -211,13 +211,13 @@ def test_one_svd_per_distinct_cut_tripartite(svd_calls):
 
 
 def test_one_svd_per_distinct_cut_six_qubits(svd_calls):
-    s = core.random_state((2,) * 6, np.random.default_rng(2))
+    s = random_state((2,) * 6, np.random.default_rng(2))
     local_ranks(s)
     assert len(svd_calls) == 31
 
 
 def test_cut_and_complement_share_singular_values(svd_calls):
-    s = core.random_state((2, 3, 4), np.random.default_rng(3))
+    s = random_state((2, 3, 4), np.random.default_rng(3))
     r1, sv1 = schmidt_rank(s, {1})
     r02, sv02 = schmidt_rank(s, {0, 2})
     assert r1 == r02 == 3
@@ -262,7 +262,7 @@ def test_numerical_rank_of_nothing_is_zero():
 def test_hyperplane_equivalence_computes_each_complement_once(svd_calls):
     # 3 local ranks and 2 complement SVDs per state, then 2 bipartite normal forms
     target = construct.canonical_maximal((3, 2, 2), 2)
-    tup = core.random_invertible_tuple(target.dims, np.random.default_rng(6))
+    tup = random_invertible_tuple(target.dims, np.random.default_rng(6))
     source = apply_local(target, tup)
     svd_calls.clear()
     slocc.hyperplane_equivalence_tuple(target, source)
@@ -287,3 +287,13 @@ def test_apply_local_rejects_non_finite_result(bell, entry):
     op = np.full((2, 2), entry, dtype=complex)
     with pytest.raises(NonFiniteAmplitudes):
         apply_local(bell, LocalOperatorTuple((op, op)))
+
+
+def test_array_holders_compare_and_hash_by_identity(bell):
+    twin = make_state([2, 2], [1, 0, 0, 1])
+    assert bell == bell and bell != twin
+    assert len({bell, twin, bell}) == 2
+    ops = LocalOperatorTuple((np.eye(2), np.eye(2)))
+    assert ops != LocalOperatorTuple((np.eye(2), np.eye(2))) and len({ops, ops}) == 1
+    strassen = rank.strassen_decomposition()
+    assert strassen != rank.strassen_decomposition() and len({strassen, strassen}) == 1

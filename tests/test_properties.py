@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import random_invertible_tuple, random_singular_tuple, random_state
 from mes import construct, core, io, rank, slocc
 
 SMALL_TRIPARTITE = [
@@ -27,7 +28,7 @@ def all_bipartition_ranks(state):
 def test_bipartition_rank_equals_complement_rank():
     rng = np.random.default_rng(11)
     for dims in [(2, 2, 2), (3, 2, 2), (2, 2, 2, 2)]:
-        s = core.random_state(dims, rng)
+        s = random_state(dims, rng)
         for subset in core.canonical_bipartitions(s.n):
             comp = tuple(i for i in range(s.n) if i not in subset)
             if comp:
@@ -42,10 +43,10 @@ def test_ranks_invariant_under_invertible_tuples():
     rng = np.random.default_rng(5)
     count = 0
     for dims in [(2, 2, 2), (3, 2, 2), (4, 3, 2), (2, 2, 2, 2)]:
-        s = core.random_state(dims, rng)
+        s = random_state(dims, rng)
         before = all_bipartition_ranks(s)
         for _ in range(30):
-            tup = core.random_invertible_tuple(dims, rng)
+            tup = random_invertible_tuple(dims, rng)
             assert all_bipartition_ranks(core.apply_local(s, tup)) == before
             count += 1
     assert count >= 100
@@ -56,9 +57,9 @@ def test_ranks_non_increasing_under_singular_tuples():
     checked = 0
     while checked < 120:
         dims = tuple(sorted(rng.integers(2, 5, size=3), reverse=True))
-        s = core.random_state(dims, rng)
+        s = random_state(dims, rng)
         before = all_bipartition_ranks(s)
-        tup = core.random_singular_tuple(dims, rng)
+        tup = random_singular_tuple(dims, rng)
         try:
             out = core.apply_local(s, tup)
         except core.ZeroResult:  # pragma: no cover - measure-zero event
@@ -70,8 +71,8 @@ def test_ranks_non_increasing_under_singular_tuples():
 
 def test_group_parties_preserves_group_aligned_cuts():
     rng = np.random.default_rng(12)
-    s = core.random_state((2, 3, 2, 2), rng)
-    grouped = core.group_parties(s, core.PartyPartition(((0, 1), (2, 3))))
+    s = random_state((2, 3, 2, 2), rng)
+    grouped = core.group_parties(s, ((0, 1), (2, 3)))
     assert (
         core.schmidt_rank(grouped, {0})[0]
         == core.schmidt_rank(s, {0, 1})[0]
@@ -112,7 +113,7 @@ def test_maximal_rank_d1_certified(dims):
 def test_is_maximal_invariant_under_equivalence(phi2_322):
     rng = np.random.default_rng(3)
     for _ in range(20):
-        tup = core.random_invertible_tuple(phi2_322.dims, rng)
+        tup = random_invertible_tuple(phi2_322.dims, rng)
         assert slocc.is_maximal(core.apply_local(phi2_322, tup))
 
 
@@ -120,7 +121,7 @@ def test_classify_invariant_under_pivot_basis_change(phi2_322):
     # mixing the pivot rows by an invertible operator must not change the label
     rng = np.random.default_rng(9)
     for _ in range(20):
-        l1 = core.random_invertible_tuple((3,), rng).ops[0]
+        l1 = random_invertible_tuple((3,), rng).ops[0]
         tup = core.LocalOperatorTuple((l1, np.eye(2), np.eye(2)))
         assert slocc.classify_hyperplane(core.apply_local(phi2_322, tup)) == 2
 
@@ -129,10 +130,10 @@ def test_refinement_of_grouped_maximal_states():
     rng = np.random.default_rng(21)
     pairings = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
     for _ in range(25):
-        s = core.random_state((2, 2, 2, 2), rng)
+        s = random_state((2, 2, 2, 2), rng)
         refined_maximal = slocc.is_maximal(s)
         for groups in pairings:
-            grouped = core.group_parties(s, core.PartyPartition(groups))
+            grouped = core.group_parties(s, groups)
             if slocc.is_maximal(grouped):
                 assert refined_maximal
 
@@ -142,7 +143,7 @@ def test_reach_from_mes_random_targets():
     for dims in [(2, 2), (4, 2), (4, 2, 2), (4, 4), (8, 2, 2, 2)]:
         mes = construct.mes_state(dims)
         for _ in range(20):
-            target = core.random_state(dims, rng)
+            target = random_state(dims, rng)
             out = core.apply_local(mes, slocc.reach_from_mes(dims, target))
             assert np.max(np.abs(out.amplitudes - target.amplitudes)) <= 1e-12
 
@@ -153,7 +154,7 @@ def test_complement_class_independent_of_construction():
     for r in (1, 2):
         canon = construct.canonical_maximal((3, 2, 2), r)
         for _ in range(10):
-            tup = core.random_invertible_tuple((3, 2, 2), rng)
+            tup = random_invertible_tuple((3, 2, 2), rng)
             moved = core.apply_local(canon, tup)
             assert slocc.classify_hyperplane(moved) == r
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _helpers import random_invertible_tuple
 from mes import construct, core, slocc
 from mes.errors import (
     ConditionViolated,
@@ -105,7 +106,7 @@ class TestClassifyHyperplane:
     def test_invariance_under_invertible_tuples(self, phi2_322):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            tup = core.random_invertible_tuple(phi2_322.dims, rng)
+            tup = random_invertible_tuple(phi2_322.dims, rng)
             assert slocc.classify_hyperplane(core.apply_local(phi2_322, tup)) == 2
 
     def test_rejects_non_hyperplane(self, ghz):
