@@ -122,8 +122,11 @@ def _local_ranks(args) -> tuple:
 
 def _schmidt(args) -> tuple:
     r, svals = core.schmidt_rank(io.load_state(args.state), args.subset)
+    with np.errstate(over="ignore"):  # values too large to scale have no decimals
+        shown = np.round(svals, 12)
+    shown = np.where(np.isfinite(shown), shown, svals)
     return ({"rank": r, "singular_values": [float(s) for s in svals]}, ["schmidt-rank"],
-            f"rank = {r}, singular values = {np.round(svals, 12).tolist()}")
+            f"rank = {r}, singular values = {shown.tolist()}")
 
 
 def _rank_bounds(args) -> tuple:
@@ -216,7 +219,16 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Optional[list] = None) -> argparse.ArgumentParser:
+    """The parser for argv (default sys.argv[1:]).
+
+    Every subcommand is listed, but only the one argv names gets its
+    arguments: the first token that is a command name, since no option before
+    the subcommand takes a value.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    chosen = next((token for token in argv if token in COMMANDS), None)
     parser = argparse.ArgumentParser(
         prog="mes",
         description="Multipartite entanglement analysis under stochastic LOCC.",
@@ -225,18 +237,19 @@ def build_parser() -> argparse.ArgumentParser:
     # subparser from clobbering a value given before the subcommand.
     json_flag = {"action": "store_true", "help": "machine-readable report"}
     parser.add_argument("--json", default=False, **json_flag)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", default=argparse.SUPPRESS, **json_flag)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help, parents=[common])
+        p = sub.add_parser(name, help=command.help)
+        if name != chosen:
+            continue
+        p.add_argument("--json", default=argparse.SUPPRESS, **json_flag)
         for flags, kwargs in command.args:
             p.add_argument(*flags, **kwargs)
     return parser
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     command = COMMANDS[args.command]
     try:
         result, provenance, human = command.run(args)

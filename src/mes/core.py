@@ -6,11 +6,12 @@ party multi-index (party 0 varies slowest). All functions are pure.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -92,18 +93,29 @@ class DimsProfile:
         return self.dims == self.sorted_desc
 
 
+class _CutRank(NamedTuple):
+    """A cut's singular values and its rank under one cutoff."""
+
+    svals: np.ndarray
+    cutoff: float
+    rank: int
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Unnormalized pure state: profile plus flat amplitude vector.
 
-    The state owns a read-only copy of its amplitudes, so the singular values
-    that schmidt_rank caches per cut in _svals cannot go stale. Equality and
-    hashing are by identity: amplitudes are arrays.
+    The state owns a read-only copy of its amplitudes, so what it remembers
+    cannot go stale: _cuts maps each canonical cut to its _CutRank, and
+    _complements maps a pivot to (cutoff, slocc.ComplementClass). Each entry
+    is replaced whole when the cutoff changes. Equality and hashing are by
+    identity: amplitudes are arrays.
     """
 
     profile: DimsProfile
     amplitudes: np.ndarray
-    _svals: dict = field(default_factory=dict, init=False, repr=False)
+    _cuts: dict = field(default_factory=dict, init=False, repr=False)
+    _complements: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
@@ -167,9 +179,10 @@ def make_state(dims: Sequence[int], amplitudes: Sequence[complex]) -> PureState:
     return PureState(prof, amps)
 
 
-def numerical_rank(svals: np.ndarray) -> int:
-    """Number of singular values (sorted descending) above rank_eps() times the
-    largest; 0 for an empty array. Every rank decision in mes goes through here.
+def numerical_rank(svals: np.ndarray, eps: Optional[float] = None) -> int:
+    """Number of singular values (sorted descending) above eps times the
+    largest; 0 for an empty array. eps defaults to rank_eps(). Every rank
+    decision in mes goes through here.
 
     Raises UndecidableError when the largest is not finite (the SVD overflowed).
     """
@@ -177,7 +190,9 @@ def numerical_rank(svals: np.ndarray) -> int:
         return 0
     if not math.isfinite(svals[0]):
         raise UndecidableError(f"largest singular value is {svals[0]}: the rank is undecidable")
-    return int(np.count_nonzero(svals > rank_eps() * svals[0]))
+    if eps is None:
+        eps = rank_eps()
+    return int(np.count_nonzero(svals > eps * svals[0]))
 
 
 def flattening(state: PureState, subset: Iterable[int]) -> np.ndarray:
@@ -189,12 +204,30 @@ def flattening(state: PureState, subset: Iterable[int]) -> np.ndarray:
     return tens.reshape(rows, -1)
 
 
+def _decide(state: PureState, cut: frozenset, eps: float) -> _CutRank:
+    """The rank of a canonical cut (a proper subset holding party 0) under eps.
+
+    The only place that fills state._cuts: the SVD runs once per state and
+    cut, numerical_rank once per cut and cutoff.
+    """
+    entry = state._cuts.get(cut)
+    if entry is None:
+        svals = np.linalg.svd(flattening(state, cut), compute_uv=False)
+        svals.flags.writeable = False
+    elif entry.cutoff == eps:
+        return entry
+    else:
+        svals = entry.svals
+    entry = _CutRank(svals, eps, numerical_rank(svals, eps))
+    state._cuts[cut] = entry
+    return entry
+
+
 def schmidt_rank(state: PureState, subset: Iterable[int]):
     """Numerical Schmidt rank across subset : rest, with all singular values.
 
-    The rank is numerical_rank of the singular values. They are computed once
-    per state and cut, from the flattening of the side holding party 0, so a
-    cut and its complement share them; the cutoff is applied on every call.
+    The singular values come from the flattening of the side holding party 0,
+    so a cut and its complement share them and their rank decision.
     """
     sub = frozenset(int(i) for i in subset)
     parties = frozenset(range(state.n))
@@ -202,12 +235,8 @@ def schmidt_rank(state: PureState, subset: Iterable[int]):
         raise EmptyOrFullSubset(f"subset {sorted(sub)} must be proper and non-empty")
     if 0 not in sub:
         sub = parties - sub
-    svals = state._svals.get(sub)
-    if svals is None:
-        svals = np.linalg.svd(flattening(state, sub), compute_uv=False)
-        svals.flags.writeable = False
-        state._svals[sub] = svals
-    return numerical_rank(svals), svals
+    entry = _decide(state, sub, rank_eps())
+    return entry.rank, entry.svals
 
 
 def canonical_bipartitions(n: int):
@@ -218,20 +247,41 @@ def canonical_bipartitions(n: int):
             yield (0,) + extra
 
 
+@functools.lru_cache(maxsize=None)
+def _party_cuts(n: int) -> tuple:
+    """The canonical cut of each single party, for n parties.
+
+    Below two parties the one cut is the full set, which schmidt_rank(state,
+    {0}) rejects with the same error.
+    """
+    if n < 2:
+        raise EmptyOrFullSubset("subset [0] must be proper and non-empty")
+    parties = frozenset(range(n))
+    return (frozenset({0}),) + tuple(parties - {i} for i in range(1, n))
+
+
+@functools.lru_cache(maxsize=None)
+def _bipartition_cuts(n: int) -> tuple:
+    """(subset, cut) for each canonical bipartition of n parties."""
+    return tuple((sub, frozenset(sub)) for sub in canonical_bipartitions(n))
+
+
 def local_ranks(state: PureState) -> RankProfile:
     """Every single-party rank and every canonical bipartition Schmidt rank."""
-    singles = tuple(schmidt_rank(state, {i})[0] for i in range(state.n))
-    bip = {
-        subset: schmidt_rank(state, subset)[0]
-        for subset in canonical_bipartitions(state.n)
-    }
-    return RankProfile(singles, bip)
+    singles = _party_cuts(state.n)
+    eps = rank_eps()
+    return RankProfile(
+        tuple(_decide(state, cut, eps).rank for cut in singles),
+        {sub: _decide(state, cut, eps).rank for sub, cut in _bipartition_cuts(state.n)},
+    )
 
 
 def is_full_local_ranks(state: PureState) -> bool:
-    return all(
-        schmidt_rank(state, {i})[0] == d for i, d in enumerate(state.dims)
-    )
+    """Whether every party's local rank is its dimension; stops at the first
+    deficient party."""
+    singles = _party_cuts(state.n)
+    eps = rank_eps()
+    return all(_decide(state, cut, eps).rank == d for cut, d in zip(singles, state.dims))
 
 
 def apply_local(state: PureState, tup: LocalOperatorTuple) -> PureState:

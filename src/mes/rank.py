@@ -10,7 +10,7 @@ import numpy as np
 
 from . import core
 from .core import DimsProfile, PureState
-from .errors import NotTripartite, ShapeMismatch, SingleParty, Unsorted
+from .errors import NonFiniteAmplitudes, NotTripartite, ShapeMismatch, SingleParty, Unsorted
 
 CERTIFICATE_TOL = 1e-10
 
@@ -55,10 +55,7 @@ def flattening_lower_bound(state: PureState) -> int:
     """Max Schmidt rank over all bipartitions; a lower bound on tensor rank."""
     if state.n < 2:
         raise SingleParty("at least two parties required")
-    return max(
-        core.schmidt_rank(state, subset)[0]
-        for subset in core.canonical_bipartitions(state.n)
-    )
+    return max(core.local_ranks(state).bipartition_ranks.values())
 
 
 def space_rank_bounds(dims: Sequence[int]) -> RankBound:
@@ -89,7 +86,10 @@ def space_rank_bounds(dims: Sequence[int]) -> RankBound:
 def expand_decomposition(
     dims: Sequence[int], decomposition: ProductDecomposition
 ) -> np.ndarray:
-    """Sum of outer products of the terms, as a flat amplitude vector."""
+    """Sum of outer products of the terms, as a flat amplitude vector.
+
+    Raises NonFiniteAmplitudes when the sum overflows or is NaN.
+    """
     prof = DimsProfile(dims)
     total = np.zeros(prof.dims, dtype=complex)
     for t, term in enumerate(decomposition.terms):
@@ -102,11 +102,14 @@ def expand_decomposition(
                 )
         if all(np.any(v) for v in term):
             prod = term[0]
-            for v in term[1:]:
-                prod = np.multiply.outer(prod, v)
-            total += prod
+            with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+                for v in term[1:]:
+                    prod = np.multiply.outer(prod, v)
+                total += prod
         else:
             raise ShapeMismatch(f"term {t} contains a zero factor")
+    if not np.isfinite(total).all():
+        raise NonFiniteAmplitudes("decomposition expands to NaN or infinite amplitudes")
     return total.reshape(-1)
 
 
@@ -120,9 +123,10 @@ def verify_decomposition(
     """
     expanded = expand_decomposition(state.dims, decomposition)
     scale = np.max(np.abs(state.amplitudes))
-    return bool(
-        np.max(np.abs(expanded - state.amplitudes)) / scale <= CERTIFICATE_TOL
-    )
+    # an expansion that overflows once scaled is infinitely far off: rejected
+    with np.errstate(over="ignore", invalid="ignore"):
+        deviation = np.max(np.abs(expanded / scale - state.amplitudes / scale))
+    return bool(deviation <= CERTIFICATE_TOL)
 
 
 def certificate_bound(

@@ -79,6 +79,9 @@ def complement_map(state: PureState, pivot: int) -> ComplementClass:
     Writes the state as sum_i |i>|phi_i> across pivot : rest and returns
     sum_{i<k} |i>|phi_i_perp> over k x (rest dims), where the phi_i_perp are
     an orthonormal basis of the orthocomplement of span{phi_i}.
+
+    The state remembers the result per pivot under the cutoff in force, so a
+    repeated call returns the same (immutable) ComplementClass.
     """
     n = state.n
     if not 0 <= pivot < n:
@@ -89,6 +92,10 @@ def complement_map(state: PureState, pivot: int) -> ComplementClass:
     k = rest - d_pivot
     if k < 1:
         raise NonPositiveK(f"pivot dimension {d_pivot} >= product of the rest")
+    eps = core.rank_eps()
+    memo = state._complements.get(pivot)
+    if memo is not None and memo[0] == eps:
+        return memo[1]
     perp = core.orthocomplement_basis(core.flattening(state, {pivot}))
     if perp.shape[1] != k:
         raise PivotRankDeficient(
@@ -98,7 +105,9 @@ def complement_map(state: PureState, pivot: int) -> ComplementClass:
     label = None
     if n == 3 and k == 1:
         label = core.schmidt_rank(comp, {1})[0]
-    return ComplementClass(comp, pivot, k, label)
+    cc = ComplementClass(comp, pivot, k, label)
+    state._complements[pivot] = (eps, cc)
+    return cc
 
 
 def classify_hyperplane(state: PureState) -> int:
@@ -148,6 +157,8 @@ def incomparability_witness(
     if a.dims != b.dims:
         raise ProfileMismatch(f"dims differ: {a.dims} vs {b.dims}")
     a_wins = b_wins = None
+    # one schmidt_rank per state and cut, not local_ranks: the early break
+    # spares the SVDs of the remaining cuts of fresh states
     for subset in core.canonical_bipartitions(a.n):
         ra = core.schmidt_rank(a, subset)[0]
         rb = core.schmidt_rank(b, subset)[0]

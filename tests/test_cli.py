@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -305,3 +309,24 @@ def test_seed_is_an_option_of_construct_only(capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def test_overflowing_decomposition_exit_2_without_warning(tmp_path, bell):
+    state = write_state(tmp_path, "bell.json", bell)
+    huge = [[1e308, 0], [1e308, 0]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"terms": [[huge, huge]]}))
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "mes.cli", "verify-decomp", state, str(path)],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "finite" in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+
+def test_schmidt_human_output_keeps_huge_singular_values(capsys, tmp_path):
+    # rounding to 12 decimals scales by 1e12, which overflows past ~1.8e296
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dims": [1, 2], "amps": [[1e308, 1e308], [1e308, 0]]}))
+    code, out, _ = run(capsys, "schmidt", str(path), "--subset", "1")
+    assert (code, out) == (0, "rank = 1, singular values = [1.7320508075688772e+308]\n")

@@ -16,6 +16,7 @@ from mes.errors import (
     InvalidPartition,
     LengthMismatch,
     NonFiniteAmplitudes,
+    PivotRankDeficient,
     ShapeMismatch,
     UndecidableError,
     ZeroResult,
@@ -297,3 +298,52 @@ def test_array_holders_compare_and_hash_by_identity(bell):
     assert ops != LocalOperatorTuple((np.eye(2), np.eye(2))) and len({ops, ops}) == 1
     strassen = rank.strassen_decomposition()
     assert strassen != rank.strassen_decomposition() and len({strassen, strassen}) == 1
+
+
+def test_memoised_answers_follow_every_cutoff_switch(monkeypatch):
+    # party 0 has singular values 1, 1, 1e-7: the default cutoff keeps the smallest, 1e-6 drops it
+    shrink = LocalOperatorTuple((np.diag([1, 1, 1e-7]), np.eye(2), np.eye(2)))
+    state = apply_local(construct.canonical_maximal((3, 2, 2), 1), shrink)
+    for eps in (None, "1e-6", None):
+        if eps is None:
+            monkeypatch.delenv("MES_RANK_EPS", raising=False)
+        else:
+            monkeypatch.setenv("MES_RANK_EPS", eps)
+        full = eps is None
+        assert schmidt_rank(state, {0})[0] == (3 if full else 2)
+        assert local_ranks(state).local_ranks == ((3, 2, 2) if full else (2, 2, 2))
+        assert slocc.is_maximal(state) is full
+        if full:
+            assert slocc.complement_map(state, 0).label == 1
+        else:
+            with pytest.raises(PivotRankDeficient):
+                slocc.complement_map(state, 0)
+
+
+def test_second_local_ranks_decides_nothing(svd_calls, monkeypatch):
+    decisions = []
+    numerical_rank = core.numerical_rank
+
+    def counting_rank(svals, *args):
+        decisions.append(svals.size)
+        return numerical_rank(svals, *args)
+
+    monkeypatch.setattr(core, "numerical_rank", counting_rank)
+    s = random_state((2,) * 6, np.random.default_rng(7))
+    first = local_ranks(s)
+    assert len(svd_calls) == len(decisions) == 31
+    svd_calls.clear()
+    decisions.clear()
+    assert local_ranks(s) == first
+    assert svd_calls == decisions == []
+
+
+def test_complement_after_classification_makes_no_svd(svd_calls):
+    tup = random_invertible_tuple((5, 3, 2), np.random.default_rng(8))
+    state = apply_local(construct.canonical_maximal((5, 3, 2), 2), tup)
+    assert slocc.classify_hyperplane(state) == 2
+    svd_calls.clear()
+    cc = slocc.complement_map(state, 0)
+    assert cc.label == 2
+    assert svd_calls == []
+    assert slocc.complement_map(state, 0) is cc
