@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -12,12 +13,11 @@ from .errors import BadClassIndex, BadDimension, BadProfile, ConditionViolated
 
 
 def epr(d: int) -> PureState:
-    """Generalized EPR state sum_i |ii> in d x d."""
+    """Generalized EPR state sum_i |ii> in d x d: the bipartite maximum
+    entangled state."""
     if d < 2:
         raise BadDimension(f"EPR dimension must be >= 2, got {d}")
-    amps = np.zeros(d * d, dtype=complex)
-    amps[np.arange(d) * d + np.arange(d)] = 1.0
-    return PureState(DimsProfile((d, d)), amps)
+    return mes_state((d, d))
 
 
 def mes_state(dims: Sequence[int]) -> PureState:
@@ -46,6 +46,19 @@ def _sorted_tripartite(dims: Sequence[int]) -> core.DimsProfile:
     return prof
 
 
+def _rank_d1_pairs(dims: Sequence[int]) -> tuple:
+    """Validated profile and lazy (a_i, c_i) of the terms |i, a_i, c_i>, i < d1."""
+    prof = _sorted_tripartite(dims)
+    d1, d2, d3 = prof.dims
+    if d3 < 2:
+        raise BadProfile("every dimension must be >= 2")
+    if prof.k < 0:
+        raise BadProfile(f"requires d1 <= d2*d3, got {prof.dims}")
+    c0 = lambda a: a if a < d3 else 0  # the term |a, a, c0(a)> for each a < d2
+    free = ((a, c) for a in range(d2) for c in range(d3) if c != c0(a))
+    return prof, chain(((a, c0(a)) for a in range(d2)), islice(free, d1 - d2))
+
+
 def maximal_rank_d1(dims: Sequence[int]) -> PureState:
     """Maximal tripartite state built from d1 product terms.
 
@@ -53,39 +66,18 @@ def maximal_rank_d1(dims: Sequence[int]) -> PureState:
     with (a_i, c_i) the lexicographically first pairs unused by the first two
     sums. Full local ranks; tensor rank exactly d1.
     """
-    prof = _sorted_tripartite(dims)
-    d1, d2, d3 = prof.dims
-    if d3 < 2:
-        raise BadProfile("every dimension must be >= 2")
-    if prof.k < 0:
-        raise BadProfile(f"requires d1 <= d2*d3, got {prof.dims}")
-    used = {(i, i) for i in range(d3)} | {(i, 0) for i in range(d3, d2)}
-    free = [(a, c) for a in range(d2) for c in range(d3) if (a, c) not in used]
+    prof, pairs = _rank_d1_pairs(dims)
     tens = np.zeros(prof.dims, dtype=complex)
-    for i in range(d3):
-        tens[i, i, i] = 1.0
-    for i in range(d3, d2):
-        tens[i, i, 0] = 1.0
-    for i in range(d2, d1):
-        a, c = free[i - d2]
+    for i, (a, c) in enumerate(pairs):
         tens[i, a, c] = 1.0
     return PureState(prof, tens.reshape(-1))
 
 
 def rank_d1_terms(dims: Sequence[int]) -> list:
     """The d1 product terms of maximal_rank_d1 as per-party vector triples."""
-    state = maximal_rank_d1(dims)
-    d1, d2, d3 = state.dims
-    terms = []
-    tens = state.tensor()
-    for i in range(d1):
-        a, c = np.argwhere(tens[i]).reshape(2)
-        va = np.zeros(d1, dtype=complex)
-        vb = np.zeros(d2, dtype=complex)
-        vc = np.zeros(d3, dtype=complex)
-        va[i], vb[a], vc[c] = 1.0, 1.0, 1.0
-        terms.append((va, vb, vc))
-    return terms
+    prof, pairs = _rank_d1_pairs(dims)
+    unit = lambda party, i: np.eye(1, prof.dims[party], i, dtype=complex)[0]
+    return [(unit(0, i), unit(1, a), unit(2, c)) for i, (a, c) in enumerate(pairs)]
 
 
 def augment_to_full_ranks(state: PureState, seed: int = 0) -> PureState:
@@ -170,13 +162,10 @@ def matmul_tensor(m: int) -> PureState:
     """Matrix-multiplication tensor sum_{i,j,k} |i,j>|i,k>|k,j> in (m^2)^3."""
     if m < 2:
         raise BadDimension(f"matrix size must be >= 2, got {m}")
-    d = m * m
-    tens = np.zeros((d, d, d), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                tens[i * m + j, i * m + k, k * m + j] += 1.0
-    return PureState(DimsProfile((d, d, d)), tens.reshape(-1))
+    eye = np.eye(m, dtype=complex)
+    # party indices (a,b), (c,d), (e,f) with a = c = i, b = f = j, d = e = k
+    tens = np.einsum("ac,bf,de->abcdef", eye, eye, eye)
+    return PureState(DimsProfile((m * m,) * 3), tens.reshape(-1))
 
 
 def case1_pair(d: int) -> Tuple[PureState, PureState]:
@@ -186,11 +175,8 @@ def case1_pair(d: int) -> Tuple[PureState, PureState]:
     of the first, pairs (0,2) and (1,3). Both have full local ranks, and their
     bipartition rank profiles witness SLOCC incomparability.
     """
-    if d < 2:
-        raise BadDimension(f"EPR dimension must be >= 2, got {d}")
-    pair = np.einsum(
-        "ab,cd->abcd", epr(d).tensor(), epr(d).tensor()
-    )
+    bell = epr(d).tensor()  # raises BadDimension for d < 2
+    pair = np.einsum("ab,cd->abcd", bell, bell)
     prof = DimsProfile((d, d, d, d))
     first = PureState(prof, pair.reshape(-1))
     second = PureState(prof, pair.transpose(0, 2, 1, 3).reshape(-1))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -50,7 +51,10 @@ class DimsProfile:
     dims: tuple
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(self.dims)
+        if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) for d in dims):
+            raise LengthMismatch(f"dimensions must be integers, got {dims}")
+        dims = tuple(int(d) for d in dims)
         if len(dims) < 1:
             raise LengthMismatch("profile needs at least one party")
         if any(d < 1 for d in dims):
@@ -204,8 +208,8 @@ def flattening(state: PureState, subset: Iterable[int]) -> np.ndarray:
     return tens.reshape(rows, -1)
 
 
-def _decide(state: PureState, cut: frozenset, eps: float) -> _CutRank:
-    """The rank of a canonical cut (a proper subset holding party 0) under eps.
+def _decide(state: PureState, cut: tuple, eps: float) -> _CutRank:
+    """The rank of a canonical cut (a sorted proper subset holding party 0) under eps.
 
     The only place that fills state._cuts: the SVD runs once per state and
     cut, numerical_rank once per cut and cutoff.
@@ -229,18 +233,18 @@ def schmidt_rank(state: PureState, subset: Iterable[int]):
     The singular values come from the flattening of the side holding party 0,
     so a cut and its complement share them and their rank decision.
     """
-    sub = frozenset(int(i) for i in subset)
-    parties = frozenset(range(state.n))
+    sub = {int(i) for i in subset}
+    parties = set(range(state.n))
     if not sub or not sub < parties:
         raise EmptyOrFullSubset(f"subset {sorted(sub)} must be proper and non-empty")
-    if 0 not in sub:
-        sub = parties - sub
-    entry = _decide(state, sub, rank_eps())
+    cut = tuple(sorted(sub if 0 in sub else parties - sub))
+    entry = _decide(state, cut, rank_eps())
     return entry.rank, entry.svals
 
 
 def canonical_bipartitions(n: int):
-    """All proper party subsets containing party 0, by size then lex order."""
+    """All proper party subsets containing party 0, by size then lex order, as
+    the sorted tuples that key each cut in reports and in PureState._cuts."""
     rest = range(1, n)
     for size in range(0, n - 1):
         for extra in combinations(rest, size):
@@ -248,38 +252,32 @@ def canonical_bipartitions(n: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _party_cuts(n: int) -> tuple:
-    """The canonical cut of each single party, for n parties.
+def _cut_table(n: int) -> tuple:
+    """(the cut of each single party, every canonical bipartition) for n parties.
 
-    Below two parties the one cut is the full set, which schmidt_rank(state,
-    {0}) rejects with the same error.
+    Below two parties the one single-party cut is the full set, which
+    schmidt_rank(state, {0}) rejects with the same error.
     """
     if n < 2:
         raise EmptyOrFullSubset("subset [0] must be proper and non-empty")
-    parties = frozenset(range(n))
-    return (frozenset({0}),) + tuple(parties - {i} for i in range(1, n))
-
-
-@functools.lru_cache(maxsize=None)
-def _bipartition_cuts(n: int) -> tuple:
-    """(subset, cut) for each canonical bipartition of n parties."""
-    return tuple((sub, frozenset(sub)) for sub in canonical_bipartitions(n))
+    singles = ((0,),) + tuple(tuple(j for j in range(n) if j != i) for i in range(1, n))
+    return singles, tuple(canonical_bipartitions(n))
 
 
 def local_ranks(state: PureState) -> RankProfile:
     """Every single-party rank and every canonical bipartition Schmidt rank."""
-    singles = _party_cuts(state.n)
+    singles, bipartitions = _cut_table(state.n)
     eps = rank_eps()
     return RankProfile(
         tuple(_decide(state, cut, eps).rank for cut in singles),
-        {sub: _decide(state, cut, eps).rank for sub, cut in _bipartition_cuts(state.n)},
+        {cut: _decide(state, cut, eps).rank for cut in bipartitions},
     )
 
 
 def is_full_local_ranks(state: PureState) -> bool:
     """Whether every party's local rank is its dimension; stops at the first
     deficient party."""
-    singles = _party_cuts(state.n)
+    singles = _cut_table(state.n)[0]
     eps = rank_eps()
     return all(_decide(state, cut, eps).rank == d for cut, d in zip(singles, state.dims))
 

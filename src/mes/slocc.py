@@ -117,10 +117,6 @@ def classify_hyperplane(state: PureState) -> int:
     parties; two maximal states on the same profile are SLOCC equivalent iff
     their labels agree.
     """
-    return _hyperplane_complement(state).label
-
-
-def _hyperplane_complement(state: PureState) -> ComplementClass:
     prof = state.profile
     if prof.n != 3:
         raise NotHyperplaneProfile(
@@ -133,7 +129,7 @@ def _hyperplane_complement(state: PureState) -> ComplementClass:
         raise NotHyperplaneProfile(f"requires d1 = d2*d3 - 1, got {prof.dims}")
     if not is_maximal(state):
         raise NotMaximal("state does not have full local ranks")
-    return complement_map(state, 0)
+    return complement_map(state, 0).label
 
 
 def equiv_bipartite(a: PureState, b: PureState) -> bool:
@@ -217,14 +213,14 @@ def hyperplane_equivalence_tuple(
     """
     if target.dims != source.dims:
         raise ProfileMismatch(f"dims differ: {target.dims} vs {source.dims}")
-    cc_t, cc_s = _hyperplane_complement(target), _hyperplane_complement(source)
-    if cc_t.label != cc_s.label:
+    label_t, label_s = classify_hyperplane(target), classify_hyperplane(source)
+    if label_t != label_s:
         raise ConditionViolated(
-            f"class labels differ: {cc_t.label} vs {cc_s.label}; states are inequivalent"
+            f"class labels differ: {label_t} vs {label_s}; states are inequivalent"
         )
-    # both complement states are 1 x d2 x d3
-    at, bt = _bipartite_slocc_factors(cc_t.complement_state.tensor()[0])
-    as_, bs = _bipartite_slocc_factors(cc_s.complement_state.tensor()[0])
+    # both complement states are 1 x d2 x d3, remembered by classify_hyperplane
+    at, bt = _bipartite_slocc_factors(complement_map(target, 0).complement_state.tensor()[0])
+    as_, bs = _bipartite_slocc_factors(complement_map(source, 0).complement_state.tensor()[0])
     # m2 (x) m3 maps the source complement onto the target complement; the
     # operators acting on the states themselves are the inverse adjoints.
     m2 = at @ np.linalg.inv(as_)

@@ -301,6 +301,25 @@ def test_unallocatable_state_exit_1(capsys, flags):
     assert err.startswith("input error: ")
 
 
+def test_unallocatable_rank_d1_profile_fails_fast():
+    # the tensor is allocated before any of its 9e8 terms is listed; the child
+    # runs under a 2 GiB address-space cap so a regression cannot exhaust the host
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mes.cli", "construct", "maximal-rank-d1",
+         "--dims", "900000000,30000,30000"],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("input error: ") and "array" in proc.stderr
+
+
 def test_seed_is_an_option_of_construct_only(capsys, tmp_path):
     path = write_state(tmp_path, "product.json", core.make_state([2, 2, 2], [1] + [0] * 7))
     assert run(capsys, "construct", "augment", "--state", path, "--seed", "3")[0] == 0

@@ -66,6 +66,23 @@ def test_profile_derived_quantities():
     assert core.DimsProfile([2, 2]).k is None
 
 
+@pytest.mark.parametrize(
+    "dims",
+    [(2.5, 2), ("3", 2), (True, 3), (2, np.float64(2.0)), (np.bool_(True), 2)],
+    ids=["float", "str", "bool", "numpy-float", "numpy-bool"],
+)
+def test_profile_rejects_non_integer_dimensions(dims):
+    with pytest.raises(LengthMismatch):
+        core.DimsProfile(dims)
+    with pytest.raises(LengthMismatch):
+        slocc.mes_exists(dims)
+
+
+def test_profile_keeps_python_and_numpy_integers():
+    dims = core.DimsProfile((np.int64(3), np.uint8(2), 2)).dims
+    assert dims == (3, 2, 2) and all(type(d) is int for d in dims)
+
+
 def test_schmidt_rank_bell(bell):
     r, svals = schmidt_rank(bell, {0})
     assert r == 2
@@ -347,3 +364,10 @@ def test_complement_after_classification_makes_no_svd(svd_calls):
     assert cc.label == 2
     assert svd_calls == []
     assert slocc.complement_map(state, 0) is cc
+
+
+def test_witness_stops_at_the_first_pair_of_cuts(svd_calls):
+    # 3 of the 7 canonical cuts per state decide the witness ((0, 2), (0, 1))
+    a, b = construct.case1_pair(2)
+    assert slocc.incomparability_witness(a, b) == ((0, 2), (0, 1))
+    assert len(svd_calls) == 6
