@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import construct, core, io, rank, slocc
-from .errors import PreconditionError, ProfileMismatch, UndecidableError
+from .errors import PreconditionError, UndecidableError
 
 
 def _int_list(text: str) -> tuple:
@@ -52,18 +52,8 @@ def _complement(args) -> tuple:
 
 def _equiv(args) -> tuple:
     a, b = io.load_state(args.a), io.load_state(args.b)
-    if a.dims != b.dims:
-        raise ProfileMismatch(f"dims differ: {a.dims} vs {b.dims}")
-    if a.n == 2:
-        return _labelled("equivalent", slocc.equiv_bipartite(a, b), "bipartite-schmidt-rank")
-    try:
-        result = slocc.classify_hyperplane(a) == slocc.classify_hyperplane(b)
-    except PreconditionError as exc:
-        raise UndecidableError(
-            f"equivalence undecidable outside bipartite and maximal "
-            f"hyperplane cases ({exc})"
-        )
-    return _labelled("equivalent", result, "hyperplane-classification")
+    tag = "bipartite-schmidt-rank" if a.n == 2 else "hyperplane-classification"
+    return _labelled("equivalent", slocc.equivalent(a, b), tag)
 
 
 def _witness(args) -> tuple:

@@ -98,23 +98,24 @@ def augment_to_full_ranks(state: PureState, seed: int = 0) -> PureState:
         deficient = [i for i in range(3) if ranks[i] < current.dims[i]]
         if not deficient:
             return current
+        # current is fixed across the redraws, so each party's basis is found
+        # once: the orthocomplement of its support if deficient, else its
+        # left singular vectors
+        bases = [
+            core.orthocomplement_basis(core.flattening(current, {i}).T) if i in deficient
+            else np.linalg.svd(core.flattening(current, {i}), full_matrices=False)[0]
+            for i in range(3)
+        ]
         for attempt in range(8):
             factors = []
-            for i in range(3):
-                flat = core.flattening(current, {i})
-                if i in deficient:
-                    comp = core.orthocomplement_basis(flat.T)
-                    v = comp[:, 0]
-                    if attempt:
-                        coeff = rng.standard_normal(comp.shape[1]) + 1j * rng.standard_normal(comp.shape[1])
-                        v = comp @ coeff
-                        v /= np.linalg.norm(v)
-                else:
-                    u, _, _ = np.linalg.svd(flat, full_matrices=False)
-                    v = u[:, 0]
-                    if attempt:
-                        v = rng.standard_normal(current.dims[i]) + 1j * rng.standard_normal(current.dims[i])
-                        v /= np.linalg.norm(v)
+            for i, basis in enumerate(bases):
+                v = basis[:, 0]
+                if attempt:
+                    size = basis.shape[1] if i in deficient else current.dims[i]
+                    v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+                    if i in deficient:
+                        v = basis @ v
+                    v /= np.linalg.norm(v)
                 factors.append(v)
             term = np.einsum("a,b,c->abc", *factors)
             candidate = PureState(current.profile, (current.tensor() + term).reshape(-1))

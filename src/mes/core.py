@@ -1,7 +1,9 @@
 """Dense multipartite pure-state algebra.
 
 States are unnormalized complex amplitude vectors stored row-major over the
-party multi-index (party 0 varies slowest). All functions are pure.
+party multi-index (party 0 varies slowest). Every answer depends only on the
+amplitudes and the cutoff in force, and a state remembers its rank decisions
+and complements (see PureState).
 """
 
 from __future__ import annotations

@@ -91,10 +91,6 @@ class ProfileMismatch(PreconditionError):
     pass
 
 
-class NotBipartite(PreconditionError):
-    pass
-
-
 # rank
 class NotTripartite(PreconditionError):
     pass

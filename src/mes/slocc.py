@@ -13,13 +13,14 @@ from .core import DimsProfile, LocalOperatorTuple, PureState
 from .errors import (
     ConditionViolated,
     NonPositiveK,
-    NotBipartite,
     NotHyperplaneProfile,
     NotMaximal,
     PivotRankDeficient,
+    PreconditionError,
     ProfileMismatch,
     SingleParty,
     TrivialParty,
+    UndecidableError,
 )
 
 
@@ -132,13 +133,29 @@ def classify_hyperplane(state: PureState) -> int:
     return complement_map(state, 0).label
 
 
-def equiv_bipartite(a: PureState, b: PureState) -> bool:
-    """Bipartite SLOCC equivalence: equal Schmidt ranks."""
-    if a.n != 2 or b.n != 2:
-        raise NotBipartite("both states must be bipartite")
+def _same_dims(a: PureState, b: PureState) -> None:
     if a.dims != b.dims:
         raise ProfileMismatch(f"dims differ: {a.dims} vs {b.dims}")
-    return core.schmidt_rank(a, {0})[0] == core.schmidt_rank(b, {0})[0]
+
+
+def equivalent(a: PureState, b: PureState) -> bool:
+    """SLOCC equivalence of two states on the same profile, where decidable.
+
+    Bipartite states are equivalent iff their Schmidt ranks agree, maximal
+    states on a hyperplane profile iff their classify_hyperplane labels agree
+    (hyperplane_equivalence_tuple proves a True). Every other pair raises
+    UndecidableError.
+    """
+    _same_dims(a, b)
+    if a.n == 2:
+        return core.schmidt_rank(a, {0})[0] == core.schmidt_rank(b, {0})[0]
+    try:
+        return classify_hyperplane(a) == classify_hyperplane(b)
+    except PreconditionError as exc:
+        raise UndecidableError(
+            f"equivalence undecidable outside bipartite and maximal "
+            f"hyperplane cases ({exc})"
+        ) from exc
 
 
 def incomparability_witness(
@@ -150,8 +167,7 @@ def incomparability_witness(
     rank(b, S2), searching all canonical bipartitions by size then lex order.
     A None result proves nothing.
     """
-    if a.dims != b.dims:
-        raise ProfileMismatch(f"dims differ: {a.dims} vs {b.dims}")
+    _same_dims(a, b)
     a_wins = b_wins = None
     # one schmidt_rank per state and cut, not local_ranks: the early break
     # spares the SVDs of the remaining cuts of fresh states
@@ -189,44 +205,30 @@ def reach_from_mes(dims: Sequence[int], target: PureState) -> LocalOperatorTuple
     return LocalOperatorTuple(ops)
 
 
-def _bipartite_slocc_factors(state_matrix: np.ndarray):
-    """Invertible (A, B) with state = A @ N_r @ B.T, N_r the r x r identity
-    padded with zeros to the state's shape."""
-    rows = state_matrix.shape[0]
-    u, svals, vh = np.linalg.svd(state_matrix)
-    r = core.numerical_rank(svals)
-    scale = np.ones(rows, dtype=complex)
-    scale[:r] = svals[:r]
-    a = u @ np.diag(scale)
-    return a, vh.T
-
-
 def hyperplane_equivalence_tuple(
     target: PureState, source: PureState
 ) -> LocalOperatorTuple:
     """Invertible tuple mapping a maximal hyperplane state onto another.
 
     Both states must live on the same sorted hyperplane profile and carry the
-    same class label. L2 and L3 are built by putting both complement states
-    into the truncated-identity bipartite normal form; L1 is then solved from
-    the flattenings.
+    same class label r. With each complement matrix C = U D Vh, L2 =
+    U_t diag(D_s / D_t on the first r values, 1 elsewhere) U_s^H and L3 =
+    Vh_t^T conj(Vh_s) are the inverse adjoints of the pair mapping C_s onto
+    C_t; L1 is then solved from the flattenings.
     """
-    if target.dims != source.dims:
-        raise ProfileMismatch(f"dims differ: {target.dims} vs {source.dims}")
+    _same_dims(target, source)
     label_t, label_s = classify_hyperplane(target), classify_hyperplane(source)
     if label_t != label_s:
         raise ConditionViolated(
             f"class labels differ: {label_t} vs {label_s}; states are inequivalent"
         )
     # both complement states are 1 x d2 x d3, remembered by classify_hyperplane
-    at, bt = _bipartite_slocc_factors(complement_map(target, 0).complement_state.tensor()[0])
-    as_, bs = _bipartite_slocc_factors(complement_map(source, 0).complement_state.tensor()[0])
-    # m2 (x) m3 maps the source complement onto the target complement; the
-    # operators acting on the states themselves are the inverse adjoints.
-    m2 = at @ np.linalg.inv(as_)
-    m3 = bt @ np.linalg.inv(bs)
-    l2 = np.linalg.inv(m2.conj().T)
-    l3 = np.linalg.inv(m3.conj().T)
+    u_t, sv_t, vh_t = np.linalg.svd(complement_map(target, 0).complement_state.tensor()[0])
+    u_s, sv_s, vh_s = np.linalg.svd(complement_map(source, 0).complement_state.tensor()[0])
+    ratio = np.ones(target.dims[1])
+    ratio[:label_t] = sv_s[:label_t] / sv_t[:label_t]
+    l2 = (u_t * ratio) @ u_s.conj().T
+    l3 = vh_t.T @ vh_s.conj()
     partial = core.apply_local(
         source, LocalOperatorTuple((np.eye(target.dims[0], dtype=complex), l2, l3))
     )

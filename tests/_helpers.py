@@ -35,6 +35,18 @@ def random_invertible_tuple(
     return LocalOperatorTuple(tuple(ops))
 
 
+def conditioned_tuple(
+    dims: Sequence[int], kappa: float, rng: np.random.Generator
+) -> LocalOperatorTuple:
+    """Square operators U diag(s) V, U and V random unitaries and s log-spaced
+    from 1 down to 1/kappa, so each has condition number kappa."""
+    ops = []
+    for d in dims:
+        u, v = (np.linalg.qr(_random_complex(rng, d, d))[0] for _ in range(2))
+        ops.append((u * np.logspace(0, -np.log10(kappa), d)) @ v)
+    return LocalOperatorTuple(tuple(ops))
+
+
 def random_singular_tuple(
     dims: Sequence[int], rng: np.random.Generator
 ) -> LocalOperatorTuple:

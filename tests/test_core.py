@@ -268,9 +268,6 @@ def test_every_rank_decision_shares_the_cutoff(monkeypatch, eps, rank):
     assert core.orthocomplement_basis(m).shape[1] == 3 - rank
     projector = construct.support_projectors(state).ops[0]
     assert np.trace(projector).real == pytest.approx(rank)
-    # the factor A of m = A @ N_r @ B.T keeps sigma_i for i < r and puts 1 elsewhere
-    a, _ = slocc._bipartite_slocc_factors(m)
-    assert (np.linalg.svd(a, compute_uv=False)[-1] < 1e-3) == (rank == 3)
 
 
 def test_numerical_rank_of_nothing_is_zero():
@@ -284,6 +281,15 @@ def test_hyperplane_equivalence_computes_each_complement_once(svd_calls):
     source = apply_local(target, tup)
     svd_calls.clear()
     slocc.hyperplane_equivalence_tuple(target, source)
+    assert len(svd_calls) == 12
+
+
+def test_augmentation_finds_each_support_once_per_step(svd_calls):
+    # |000> + |111> in (3,2,2) needs one redraw: 3 input ranks and 3 supports,
+    # then 3 ranks for each of the two candidates
+    state = make_state([3, 2, 2], [1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0])
+    out = construct.augment_to_full_ranks(state)
+    assert local_ranks(out).local_ranks == (3, 2, 2)
     assert len(svd_calls) == 12
 
 

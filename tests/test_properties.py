@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import random_invertible_tuple, random_singular_tuple, random_state
+from _helpers import (
+    conditioned_tuple,
+    random_invertible_tuple,
+    random_singular_tuple,
+    random_state,
+)
 from mes import construct, core, io, rank, slocc
 
 SMALL_TRIPARTITE = [
@@ -146,6 +151,26 @@ def test_reach_from_mes_random_targets():
             target = random_state(dims, rng)
             out = core.apply_local(mes, slocc.reach_from_mes(dims, target))
             assert np.max(np.abs(out.amplitudes - target.amplitudes)) <= 1e-12
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1e2, 1e3])
+def test_equivalence_tuple_under_ill_conditioned_operators(kappa):
+    # both states of every class are images of the canonical one under tuples
+    # of condition number kappa; kappa = 1e4 reaches the rank cutoff's limits
+    rng = np.random.default_rng(int(kappa))
+    for dims in [(3, 2, 2), (5, 3, 2), (11, 4, 3)]:
+        for r in range(1, dims[2] + 1):
+            canon = construct.canonical_maximal(dims, r)
+            for _ in range(3):
+                target, source = (core.apply_local(canon, conditioned_tuple(dims, kappa, rng))
+                                  for _ in range(2))
+                tup = slocc.hyperplane_equivalence_tuple(target, source)
+                mapped = core.apply_local(source, tup).amplitudes
+                residual = np.linalg.norm(mapped - target.amplitudes) / np.linalg.norm(
+                    target.amplitudes)
+                assert residual <= 1e-9
+                for op in tup.ops:
+                    assert np.linalg.matrix_rank(op) == op.shape[0]
 
 
 def test_complement_class_independent_of_construction():

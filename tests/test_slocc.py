@@ -6,13 +6,13 @@ from mes import construct, core, slocc
 from mes.errors import (
     ConditionViolated,
     NonPositiveK,
-    NotBipartite,
     NotHyperplaneProfile,
     NotMaximal,
     PivotRankDeficient,
     ProfileMismatch,
     SingleParty,
     TrivialParty,
+    UndecidableError,
 )
 
 
@@ -123,23 +123,48 @@ class TestEquivBipartite:
     def test_same_rank_different_scale(self):
         a = core.make_state([2, 2], [1, 0, 0, 1])
         b = core.make_state([2, 2], [1, 0, 0, 2])
-        assert slocc.equiv_bipartite(a, b)
+        assert slocc.equivalent(a, b)
 
     def test_different_rank(self):
         a = core.make_state([2, 2], [1, 0, 0, 0])
         b = core.make_state([2, 2], [1, 0, 0, 1])
-        assert not slocc.equiv_bipartite(a, b)
+        assert not slocc.equivalent(a, b)
 
     def test_complement_states_inequivalent(self):
         a = core.make_state([2, 2], [0, 0, 1, 0])  # |10>
         b = core.make_state([2, 2], [0, 1, -1, 0])  # |01> - |10>
-        assert not slocc.equiv_bipartite(a, b)
+        assert not slocc.equivalent(a, b)
 
     def test_validation(self, ghz, bell):
-        with pytest.raises(NotBipartite):
-            slocc.equiv_bipartite(ghz, ghz)
+        with pytest.raises(UndecidableError):
+            slocc.equivalent(ghz, ghz)
         with pytest.raises(ProfileMismatch):
-            slocc.equiv_bipartite(bell, core.make_state([3, 3], [1] + [0] * 8))
+            slocc.equivalent(bell, core.make_state([3, 3], [1] + [0] * 8))
+
+
+class TestEquivalent:
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_equal_hyperplane_labels(self, r):
+        canon = construct.canonical_maximal((5, 3, 2), r)
+        tup = random_invertible_tuple(canon.dims, np.random.default_rng(r))
+        assert slocc.equivalent(canon, core.apply_local(canon, tup))
+
+    def test_different_hyperplane_labels(self, phi1_322, phi2_322):
+        assert not slocc.equivalent(phi1_322, phi2_322)
+
+    def test_non_maximal_hyperplane_state_is_undecidable(self, phi1_322):
+        s = core.make_state([3, 2, 2], [1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0])
+        message = ("equivalence undecidable outside bipartite and maximal hyperplane "
+                   "cases (state does not have full local ranks)")
+        with pytest.raises(UndecidableError) as info:
+            slocc.equivalent(s, phi1_322)
+        assert str(info.value) == message
+
+    def test_rejects_different_profiles(self):
+        a = construct.canonical_maximal((5, 3, 2), 1)
+        b = construct.canonical_maximal((11, 4, 3), 1)
+        with pytest.raises(ProfileMismatch, match="dims differ"):
+            slocc.equivalent(a, b)
 
 
 class TestIncomparabilityWitness:
