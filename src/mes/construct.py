@@ -130,15 +130,6 @@ def augment_to_full_ranks(state: PureState, seed: int = 0) -> PureState:
     return current
 
 
-def support_projectors(state: PureState) -> core.LocalOperatorTuple:
-    """Per-party orthogonal projectors onto the state's local supports."""
-    ops = []
-    for i in range(state.n):
-        perp = core.orthocomplement_basis(core.flattening(state, {i}).T)
-        ops.append(np.eye(state.dims[i]) - perp @ perp.conj().T)
-    return core.LocalOperatorTuple(tuple(ops))
-
-
 def canonical_maximal(dims: Sequence[int], r: int) -> PureState:
     """Canonical maximal state of hyperplane class r (d1 = d2*d3 - 1).
 

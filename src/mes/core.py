@@ -14,7 +14,7 @@ import numbers
 import os
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -99,29 +99,18 @@ class DimsProfile:
         return self.dims == self.sorted_desc
 
 
-class _CutRank(NamedTuple):
-    """A cut's singular values and its rank under one cutoff."""
-
-    svals: np.ndarray
-    cutoff: float
-    rank: int
-
-
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Unnormalized pure state: profile plus flat amplitude vector.
 
     The state owns a read-only copy of its amplitudes, so what it remembers
-    cannot go stale: _cuts maps each canonical cut to its _CutRank, and
-    _complements maps a pivot to (cutoff, slocc.ComplementClass). Each entry
-    is replaced whole when the cutoff changes. Equality and hashing are by
-    identity: amplitudes are arrays.
+    (see remember) cannot go stale. Equality and hashing are by identity:
+    amplitudes are arrays.
     """
 
     profile: DimsProfile
     amplitudes: np.ndarray
-    _cuts: dict = field(default_factory=dict, init=False, repr=False)
-    _complements: dict = field(default_factory=dict, init=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
@@ -138,6 +127,15 @@ class PureState:
 
     def tensor(self) -> np.ndarray:
         return self.amplitudes.reshape(self.dims)
+
+    def remember(self, key, eps: float, compute, *args):
+        """The value kept under key if computed under cutoff eps; else compute(*args),
+        kept under key with eps in place of any earlier entry (nothing if it raises)."""
+        entry = self._memo.get(key)
+        if entry is None or entry[0] != eps:
+            entry = (eps, compute(*args))
+            self._memo[key] = entry
+        return entry[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,23 +208,16 @@ def flattening(state: PureState, subset: Iterable[int]) -> np.ndarray:
     return tens.reshape(rows, -1)
 
 
-def _decide(state: PureState, cut: tuple, eps: float) -> _CutRank:
-    """The rank of a canonical cut (a sorted proper subset holding party 0) under eps.
+def _cut_rank(state: PureState, cut: tuple, eps: float) -> tuple:
+    svals = np.linalg.svd(flattening(state, cut), compute_uv=False)
+    svals.flags.writeable = False
+    return numerical_rank(svals, eps), svals
 
-    The only place that fills state._cuts: the SVD runs once per state and
-    cut, numerical_rank once per cut and cutoff.
-    """
-    entry = state._cuts.get(cut)
-    if entry is None:
-        svals = np.linalg.svd(flattening(state, cut), compute_uv=False)
-        svals.flags.writeable = False
-    elif entry.cutoff == eps:
-        return entry
-    else:
-        svals = entry.svals
-    entry = _CutRank(svals, eps, numerical_rank(svals, eps))
-    state._cuts[cut] = entry
-    return entry
+
+def _decide(state: PureState, cut: tuple, eps: float) -> tuple:
+    """(rank under eps, singular values) of a canonical cut, a sorted proper subset
+    holding party 0; decided once per state, cut and cutoff."""
+    return state.remember(cut, eps, _cut_rank, state, cut, eps)
 
 
 def schmidt_rank(state: PureState, subset: Iterable[int]):
@@ -240,13 +231,12 @@ def schmidt_rank(state: PureState, subset: Iterable[int]):
     if not sub or not sub < parties:
         raise EmptyOrFullSubset(f"subset {sorted(sub)} must be proper and non-empty")
     cut = tuple(sorted(sub if 0 in sub else parties - sub))
-    entry = _decide(state, cut, rank_eps())
-    return entry.rank, entry.svals
+    return _decide(state, cut, rank_eps())
 
 
 def canonical_bipartitions(n: int):
     """All proper party subsets containing party 0, by size then lex order, as
-    the sorted tuples that key each cut in reports and in PureState._cuts."""
+    the sorted tuples that key each cut in reports and in what a state remembers."""
     rest = range(1, n)
     for size in range(0, n - 1):
         for extra in combinations(rest, size):
@@ -271,8 +261,8 @@ def local_ranks(state: PureState) -> RankProfile:
     singles, bipartitions = _cut_table(state.n)
     eps = rank_eps()
     return RankProfile(
-        tuple(_decide(state, cut, eps).rank for cut in singles),
-        {cut: _decide(state, cut, eps).rank for cut in bipartitions},
+        tuple(_decide(state, cut, eps)[0] for cut in singles),
+        {cut: _decide(state, cut, eps)[0] for cut in bipartitions},
     )
 
 
@@ -281,7 +271,7 @@ def is_full_local_ranks(state: PureState) -> bool:
     deficient party."""
     singles = _cut_table(state.n)[0]
     eps = rank_eps()
-    return all(_decide(state, cut, eps).rank == d for cut, d in zip(singles, state.dims))
+    return all(_decide(state, cut, eps)[0] == d for cut, d in zip(singles, state.dims))
 
 
 def apply_local(state: PureState, tup: LocalOperatorTuple) -> PureState:

@@ -16,7 +16,7 @@ class UndecidableError(MesError):
     pass
 
 
-# tensor_core
+# core
 class LengthMismatch(PreconditionError):
     pass
 

@@ -93,22 +93,21 @@ def complement_map(state: PureState, pivot: int) -> ComplementClass:
     k = rest - d_pivot
     if k < 1:
         raise NonPositiveK(f"pivot dimension {d_pivot} >= product of the rest")
-    eps = core.rank_eps()
-    memo = state._complements.get(pivot)
-    if memo is not None and memo[0] == eps:
-        return memo[1]
+    key = ("complement", pivot)
+    return state.remember(key, core.rank_eps(), _complement, state, pivot, rest_dims, k)
+
+
+def _complement(state: PureState, pivot: int, rest_dims: tuple, k: int) -> ComplementClass:
     perp = core.orthocomplement_basis(core.flattening(state, {pivot}))
     if perp.shape[1] != k:
         raise PivotRankDeficient(
-            f"pivot local rank {rest - perp.shape[1]} < dimension {d_pivot}"
+            f"pivot local rank {perp.shape[0] - perp.shape[1]} < dimension {state.dims[pivot]}"
         )
     comp = PureState(DimsProfile((k,) + rest_dims), perp.T.reshape(-1))
     label = None
-    if n == 3 and k == 1:
+    if state.n == 3 and k == 1:
         label = core.schmidt_rank(comp, {1})[0]
-    cc = ComplementClass(comp, pivot, k, label)
-    state._complements[pivot] = (eps, cc)
-    return cc
+    return ComplementClass(comp, pivot, k, label)
 
 
 def classify_hyperplane(state: PureState) -> int:

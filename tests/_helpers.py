@@ -1,10 +1,11 @@
-"""Random states and operator tuples for tests; every draw takes an explicit
-numpy Generator."""
+"""Random states and operator tuples for tests, and support projectors; every
+random draw takes an explicit numpy Generator."""
 
 from typing import Sequence
 
 import numpy as np
 
+from mes import core
 from mes.core import DimsProfile, LocalOperatorTuple, PureState
 
 # Random invertible draws are rejected while sigma_min < this times sigma_max,
@@ -69,3 +70,12 @@ def random_state(dims: Sequence[int], rng: np.random.Generator) -> PureState:
         prof.total_dim
     )
     return PureState(prof, amps)
+
+
+def support_projectors(state: PureState) -> LocalOperatorTuple:
+    """Per-party orthogonal projectors onto the state's local supports."""
+    ops = []
+    for i in range(state.n):
+        perp = core.orthocomplement_basis(core.flattening(state, {i}).T)
+        ops.append(np.eye(state.dims[i]) - perp @ perp.conj().T)
+    return LocalOperatorTuple(tuple(ops))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _helpers import random_state
+from _helpers import random_state, support_projectors
 from mes import construct, core, rank, slocc
 from mes.errors import BadClassIndex, BadDimension, BadProfile, ConditionViolated
 
@@ -93,7 +93,7 @@ def test_augment_round_trip():
     s = core.make_state([2, 2, 2], [1, 0, 0, 0, 0, 1, 0, 0])
     out = construct.augment_to_full_ranks(s)
     assert core.local_ranks(out).local_ranks == (2, 2, 2)
-    projected = core.apply_local(out, construct.support_projectors(s))
+    projected = core.apply_local(out, support_projectors(s))
     scale = projected.amplitudes[0] / s.amplitudes[0]
     assert np.allclose(projected.amplitudes, scale * s.amplitudes)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _helpers import identity_tuple, random_invertible_tuple, random_state
+from _helpers import identity_tuple, random_invertible_tuple, random_state, support_projectors
 from mes import construct, core, rank, slocc
 from mes.core import (
     LocalOperatorTuple,
@@ -266,7 +266,7 @@ def test_every_rank_decision_shares_the_cutoff(monkeypatch, eps, rank):
     state = make_state([3, 3], m)
     assert schmidt_rank(state, {0})[0] == rank
     assert core.orthocomplement_basis(m).shape[1] == 3 - rank
-    projector = construct.support_projectors(state).ops[0]
+    projector = support_projectors(state).ops[0]
     assert np.trace(projector).real == pytest.approx(rank)
 
 
@@ -377,3 +377,29 @@ def test_witness_stops_at_the_first_pair_of_cuts(svd_calls):
     a, b = construct.case1_pair(2)
     assert slocc.incomparability_witness(a, b) == ((0, 2), (0, 1))
     assert len(svd_calls) == 6
+
+
+def test_remember_keeps_one_value_per_key_and_cutoff(bell):
+    calls = []
+
+    def compute(value):
+        calls.append(value)
+        return value
+
+    assert bell.remember("k", 0.1, compute, 1) == 1
+    assert bell.remember("k", 0.1, compute, 2) == 1
+    assert calls == [1]
+    # a switch a -> b -> a computes each time: the entry is replaced, not added to
+    assert bell.remember("k", 0.2, compute, 2) == 2
+    assert bell.remember("k", 0.1, compute, 3) == 3
+    assert calls == [1, 2, 3]
+    assert bell.remember("other", 0.1, compute, 4) == 4
+
+    def fail():
+        calls.append("fail")
+        raise UndecidableError("no answer")
+
+    for _ in range(2):
+        with pytest.raises(UndecidableError):
+            bell.remember("failed", 0.1, fail)
+    assert calls == [1, 2, 3, 4, "fail", "fail"]
