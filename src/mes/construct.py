@@ -91,10 +91,12 @@ def augment_to_full_ranks(state: PureState, seed: int = 0) -> PureState:
     """
     if state.n != 3:
         raise BadProfile(f"tripartite state required, got {state.n} parties")
+    eps = core.rank_eps()
+    singles = [core.canonical_cut(3, {i}) for i in range(3)]
     rng = np.random.default_rng(seed)
     current = state
     for _ in range(sum(state.dims)):
-        ranks = [core.schmidt_rank(current, {i})[0] for i in range(3)]
+        ranks = [core.decide(current, cut, eps)[0] for cut in singles]
         deficient = [i for i in range(3) if ranks[i] < current.dims[i]]
         if not deficient:
             return current
@@ -102,7 +104,7 @@ def augment_to_full_ranks(state: PureState, seed: int = 0) -> PureState:
         # once: the orthocomplement of its support if deficient, else its
         # left singular vectors
         bases = [
-            core.orthocomplement_basis(core.flattening(current, {i}).T) if i in deficient
+            core.orthocomplement_basis(core.flattening(current, {i}).T, eps) if i in deficient
             else np.linalg.svd(core.flattening(current, {i}), full_matrices=False)[0]
             for i in range(3)
         ]
@@ -119,7 +121,7 @@ def augment_to_full_ranks(state: PureState, seed: int = 0) -> PureState:
                 factors.append(v)
             term = np.einsum("a,b,c->abc", *factors)
             candidate = PureState(current.profile, (current.tensor() + term).reshape(-1))
-            new_ranks = [core.schmidt_rank(candidate, {i})[0] for i in range(3)]
+            new_ranks = [core.decide(candidate, cut, eps)[0] for cut in singles]
             grew = all(new_ranks[i] == ranks[i] + 1 for i in deficient)
             kept = all(new_ranks[i] >= ranks[i] for i in range(3))
             if grew and kept:
@@ -145,7 +147,7 @@ def canonical_maximal(dims: Sequence[int], r: int) -> PureState:
         raise BadClassIndex(f"class index {r} outside 1..{min(d2, d3)}")
     omega = np.zeros(prof.tail_product, dtype=complex)
     omega[np.arange(r) * d3 + np.arange(r)] = 1.0
-    basis = core.orthocomplement_basis(omega)  # (d2*d3, d1) orthonormal columns
+    basis = core.orthocomplement_basis(omega, core.rank_eps())  # (d2*d3, d1) orthonormal columns
     amps = basis.T.reshape(-1)
     return PureState(prof, amps)
 

@@ -40,7 +40,10 @@ def rank_eps() -> float:
     text = os.environ.get("MES_RANK_EPS")
     if text is None:
         return DEFAULT_RANK_EPS
-    eps = float(text)
+    try:
+        eps = float(text)
+    except ValueError:
+        eps = math.nan  # rejected just below, with the out-of-range values
     if not 0.0 < eps < 1.0:  # also false for NaN
         raise ValueError(f"MES_RANK_EPS must be a float in (0, 1), got {text!r}")
     return eps
@@ -183,10 +186,10 @@ def make_state(dims: Sequence[int], amplitudes: Sequence[complex]) -> PureState:
     return PureState(prof, amps)
 
 
-def numerical_rank(svals: np.ndarray, eps: Optional[float] = None) -> int:
+def numerical_rank(svals: np.ndarray, eps: float) -> int:
     """Number of singular values (sorted descending) above eps times the
-    largest; 0 for an empty array. eps defaults to rank_eps(). Every rank
-    decision in mes goes through here.
+    largest; 0 for an empty array. Every rank decision in mes goes through
+    here, with the cutoff its public entry point read once (see rank_eps).
 
     Raises UndecidableError when the largest is not finite (the SVD overflowed).
     """
@@ -194,8 +197,6 @@ def numerical_rank(svals: np.ndarray, eps: Optional[float] = None) -> int:
         return 0
     if not math.isfinite(svals[0]):
         raise UndecidableError(f"largest singular value is {svals[0]}: the rank is undecidable")
-    if eps is None:
-        eps = rank_eps()
     return int(np.count_nonzero(svals > eps * svals[0]))
 
 
@@ -214,9 +215,20 @@ def _cut_rank(state: PureState, cut: tuple, eps: float) -> tuple:
     return numerical_rank(svals, eps), svals
 
 
-def _decide(state: PureState, cut: tuple, eps: float) -> tuple:
-    """(rank under eps, singular values) of a canonical cut, a sorted proper subset
-    holding party 0; decided once per state, cut and cutoff."""
+def canonical_cut(n: int, subset: Iterable[int]) -> tuple:
+    """Key of the cut subset : rest of n parties, the sorted side holding party 0;
+    raises EmptyOrFullSubset unless subset is a proper non-empty set of parties."""
+    sub = {int(i) for i in subset}
+    parties = set(range(n))
+    if not sub or not sub < parties:
+        raise EmptyOrFullSubset(
+            f"subset {sorted(sub)} must be a proper non-empty subset of parties 0..{n - 1}")
+    return tuple(sorted(sub if 0 in sub else parties - sub))
+
+
+def decide(state: PureState, cut: tuple, eps: float) -> tuple:
+    """(rank under eps, singular values) of a canonical_cut key; decided once per
+    state, cut and cutoff. Every rank decision on a cut goes through here."""
     return state.remember(cut, eps, _cut_rank, state, cut, eps)
 
 
@@ -226,12 +238,7 @@ def schmidt_rank(state: PureState, subset: Iterable[int]):
     The singular values come from the flattening of the side holding party 0,
     so a cut and its complement share them and their rank decision.
     """
-    sub = {int(i) for i in subset}
-    parties = set(range(state.n))
-    if not sub or not sub < parties:
-        raise EmptyOrFullSubset(f"subset {sorted(sub)} must be proper and non-empty")
-    cut = tuple(sorted(sub if 0 in sub else parties - sub))
-    return _decide(state, cut, rank_eps())
+    return decide(state, canonical_cut(state.n, subset), rank_eps())
 
 
 def canonical_bipartitions(n: int):
@@ -245,15 +252,8 @@ def canonical_bipartitions(n: int):
 
 @functools.lru_cache(maxsize=None)
 def _cut_table(n: int) -> tuple:
-    """(the cut of each single party, every canonical bipartition) for n parties.
-
-    Below two parties the one single-party cut is the full set, which
-    schmidt_rank(state, {0}) rejects with the same error.
-    """
-    if n < 2:
-        raise EmptyOrFullSubset("subset [0] must be proper and non-empty")
-    singles = ((0,),) + tuple(tuple(j for j in range(n) if j != i) for i in range(1, n))
-    return singles, tuple(canonical_bipartitions(n))
+    """(the cut of each single party, every canonical bipartition) for n parties."""
+    return tuple(canonical_cut(n, {i}) for i in range(n)), tuple(canonical_bipartitions(n))
 
 
 def local_ranks(state: PureState) -> RankProfile:
@@ -261,17 +261,16 @@ def local_ranks(state: PureState) -> RankProfile:
     singles, bipartitions = _cut_table(state.n)
     eps = rank_eps()
     return RankProfile(
-        tuple(_decide(state, cut, eps)[0] for cut in singles),
-        {cut: _decide(state, cut, eps)[0] for cut in bipartitions},
+        tuple(decide(state, cut, eps)[0] for cut in singles),
+        {cut: decide(state, cut, eps)[0] for cut in bipartitions},
     )
 
 
-def is_full_local_ranks(state: PureState) -> bool:
-    """Whether every party's local rank is its dimension; stops at the first
-    deficient party."""
+def is_full_local_ranks(state: PureState, eps: float) -> bool:
+    """Whether every party's local rank under eps is its dimension; stops at the
+    first deficient party."""
     singles = _cut_table(state.n)[0]
-    eps = rank_eps()
-    return all(_decide(state, cut, eps)[0] == d for cut, d in zip(singles, state.dims))
+    return all(decide(state, cut, eps)[0] == d for cut, d in zip(singles, state.dims))
 
 
 def apply_local(state: PureState, tup: LocalOperatorTuple) -> PureState:
@@ -313,12 +312,12 @@ def group_parties(state: PureState, groups: Sequence[Sequence[int]]) -> PureStat
     return PureState(DimsProfile(new_dims), tens.reshape(-1))
 
 
-def orthocomplement_basis(rows: np.ndarray) -> np.ndarray:
+def orthocomplement_basis(rows: np.ndarray, eps: float) -> np.ndarray:
     """Orthonormal basis (columns) of the Hermitian orthocomplement of the rows.
 
-    Returns every x with <row_i|x> = 0 for all i, via SVD of conj(rows).
+    Returns every x with <row_i|x> = 0 for all i, via SVD of conj(rows) and its rank under eps.
     """
     mat = np.atleast_2d(np.asarray(rows, dtype=complex))
     _, svals, vh = np.linalg.svd(np.conj(mat), full_matrices=True)
-    return vh[numerical_rank(svals):].conj().T
+    return vh[numerical_rank(svals, eps):].conj().T
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -71,7 +70,7 @@ def mes_exists(dims: Sequence[int]) -> bool:
 def is_maximal(state: PureState) -> bool:
     """SLOCC maximality: every single-party reduced operator has full rank."""
     _check_party_dims(state.profile)
-    return core.is_full_local_ranks(state)
+    return core.is_full_local_ranks(state, core.rank_eps())
 
 
 def complement_map(state: PureState, pivot: int) -> ComplementClass:
@@ -84,29 +83,31 @@ def complement_map(state: PureState, pivot: int) -> ComplementClass:
     The state remembers the result per pivot under the cutoff in force, so a
     repeated call returns the same (immutable) ComplementClass.
     """
-    n = state.n
-    if not 0 <= pivot < n:
-        raise ProfileMismatch(f"pivot {pivot} out of range for {n} parties")
-    d_pivot = state.dims[pivot]
-    rest_dims = tuple(state.dims[i] for i in range(n) if i != pivot)
-    rest = math.prod(rest_dims)
-    k = rest - d_pivot
-    if k < 1:
-        raise NonPositiveK(f"pivot dimension {d_pivot} >= product of the rest")
-    key = ("complement", pivot)
-    return state.remember(key, core.rank_eps(), _complement, state, pivot, rest_dims, k)
+    if not 0 <= pivot < state.n:
+        raise ProfileMismatch(f"pivot {pivot} out of range for {state.n} parties")
+    if state.profile.total_dim <= state.dims[pivot] ** 2:
+        raise NonPositiveK(f"pivot dimension {state.dims[pivot]} >= product of the rest")
+    return _complement(state, pivot, core.rank_eps())
 
 
-def _complement(state: PureState, pivot: int, rest_dims: tuple, k: int) -> ComplementClass:
-    perp = core.orthocomplement_basis(core.flattening(state, {pivot}))
+def _complement(state: PureState, pivot: int, eps: float) -> ComplementClass:
+    """complement_map at a pivot past its gates, remembered per pivot under eps."""
+    return state.remember(("complement", pivot), eps, _complement_class, state, pivot, eps)
+
+
+def _complement_class(state: PureState, pivot: int, eps: float) -> ComplementClass:
+    flat = core.flattening(state, {pivot})  # d_pivot x product of the rest
+    perp = core.orthocomplement_basis(flat, eps)
+    k = flat.shape[1] - flat.shape[0]
     if perp.shape[1] != k:
         raise PivotRankDeficient(
             f"pivot local rank {perp.shape[0] - perp.shape[1]} < dimension {state.dims[pivot]}"
         )
+    rest_dims = state.dims[:pivot] + state.dims[pivot + 1:]
     comp = PureState(DimsProfile((k,) + rest_dims), perp.T.reshape(-1))
     label = None
     if state.n == 3 and k == 1:
-        label = core.schmidt_rank(comp, {1})[0]
+        label = core.decide(comp, core.canonical_cut(3, {1}), eps)[0]
     return ComplementClass(comp, pivot, k, label)
 
 
@@ -127,9 +128,10 @@ def classify_hyperplane(state: PureState) -> int:
         raise NotHyperplaneProfile(f"dims {prof.dims} must be sorted non-increasing")
     if prof.k != 1:
         raise NotHyperplaneProfile(f"requires d1 = d2*d3 - 1, got {prof.dims}")
-    if not is_maximal(state):
+    eps = core.rank_eps()
+    if not core.is_full_local_ranks(state, eps):
         raise NotMaximal("state does not have full local ranks")
-    return complement_map(state, 0).label
+    return _complement(state, 0, eps).label
 
 
 def _same_dims(a: PureState, b: PureState) -> None:
@@ -147,7 +149,8 @@ def equivalent(a: PureState, b: PureState) -> bool:
     """
     _same_dims(a, b)
     if a.n == 2:
-        return core.schmidt_rank(a, {0})[0] == core.schmidt_rank(b, {0})[0]
+        cut, eps = core.canonical_cut(2, {0}), core.rank_eps()
+        return core.decide(a, cut, eps)[0] == core.decide(b, cut, eps)[0]
     try:
         return classify_hyperplane(a) == classify_hyperplane(b)
     except PreconditionError as exc:
@@ -167,16 +170,17 @@ def incomparability_witness(
     A None result proves nothing.
     """
     _same_dims(a, b)
+    eps = core.rank_eps()
     a_wins = b_wins = None
-    # one schmidt_rank per state and cut, not local_ranks: the early break
+    # one decision per state and cut, not local_ranks: the early break
     # spares the SVDs of the remaining cuts of fresh states
-    for subset in core.canonical_bipartitions(a.n):
-        ra = core.schmidt_rank(a, subset)[0]
-        rb = core.schmidt_rank(b, subset)[0]
+    for cut in core.canonical_bipartitions(a.n):
+        ra = core.decide(a, cut, eps)[0]
+        rb = core.decide(b, cut, eps)[0]
         if ra > rb and a_wins is None:
-            a_wins = subset
+            a_wins = cut
         elif ra < rb and b_wins is None:
-            b_wins = subset
+            b_wins = cut
         if a_wins and b_wins:
             break
     if a_wins and b_wins:
@@ -192,8 +196,10 @@ def reach_from_mes(dims: Sequence[int], target: PureState) -> LocalOperatorTuple
     """
     prof = DimsProfile(dims)
     _check_party_dims(prof)
-    if not prof.has_mes or not prof.is_sorted_desc():
+    if not prof.has_mes:
         raise ConditionViolated(f"no maximum entangled state for dims {prof.dims}")
+    if not prof.is_sorted_desc():
+        raise ConditionViolated(f"dims {prof.dims} must be sorted non-increasing")
     if target.dims != prof.dims:
         raise ProfileMismatch(f"target dims {target.dims} != {prof.dims}")
     d1 = prof.dims[0]

@@ -76,6 +76,6 @@ def support_projectors(state: PureState) -> LocalOperatorTuple:
     """Per-party orthogonal projectors onto the state's local supports."""
     ops = []
     for i in range(state.n):
-        perp = core.orthocomplement_basis(core.flattening(state, {i}).T)
+        perp = core.orthocomplement_basis(core.flattening(state, {i}).T, core.rank_eps())
         ops.append(np.eye(state.dims[i]) - perp @ perp.conj().T)
     return LocalOperatorTuple(tuple(ops))

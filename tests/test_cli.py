@@ -167,9 +167,10 @@ def test_schmidt_human_output_plain_floats(capsys, tmp_path, bell):
     assert out.strip() == "rank = 2, singular values = [1.0, 1.0]"
 
 
-def test_bad_rank_eps_exit_1(capsys, tmp_path, monkeypatch, bell):
+@pytest.mark.parametrize("value", ["2", "tight", ""])
+def test_bad_rank_eps_exit_1(capsys, tmp_path, monkeypatch, bell, value):
     path = write_state(tmp_path, "bell.json", bell)
-    monkeypatch.setenv("MES_RANK_EPS", "2")
+    monkeypatch.setenv("MES_RANK_EPS", value)
     code, _, err = run(capsys, "maximal", path)
     assert code == 1
     assert "MES_RANK_EPS" in err

@@ -73,7 +73,7 @@ def test_maximal_rank_d1_rejects_mes_profile():
     with pytest.raises(BadProfile):
         construct.maximal_rank_d1((2, 2, 3))
     # boundary d1 = d2*d3 is allowed
-    assert core.is_full_local_ranks(construct.maximal_rank_d1((4, 2, 2)))
+    assert core.is_full_local_ranks(construct.maximal_rank_d1((4, 2, 2)), core.rank_eps())
 
 
 def test_augment_product_state_gives_ghz(ghz):
@@ -115,7 +115,7 @@ def test_augment_never_decreases_bipartition_ranks():
         out = construct.augment_to_full_ranks(s, seed=3)
         after = core.local_ranks(out).bipartition_ranks
         assert all(after[k] >= before[k] for k in before)
-        assert core.is_full_local_ranks(out)
+        assert core.is_full_local_ranks(out, core.rank_eps())
 
 
 def test_canonical_maximal_classes():

@@ -106,6 +106,9 @@ def test_schmidt_rank_rejects_improper_subset(bell):
         schmidt_rank(bell, set())
     with pytest.raises(EmptyOrFullSubset):
         schmidt_rank(bell, {0, 1})
+    for out_of_range in ({0, 5}, {-1}):
+        with pytest.raises(EmptyOrFullSubset, match=r"parties 0\.\.1"):
+            schmidt_rank(bell, out_of_range)
 
 
 def test_local_ranks_phi1(phi1_322):
@@ -246,7 +249,7 @@ def test_cut_and_complement_share_singular_values(svd_calls):
 
 def test_orthocomplement_basis():
     rows = np.array([[1, 0, 0, 0], [0, 1, 1j, 0]], dtype=complex)
-    comp = core.orthocomplement_basis(rows)
+    comp = core.orthocomplement_basis(rows, core.rank_eps())
     assert comp.shape == (4, 2)
     assert np.allclose(np.conj(rows) @ comp, 0)
     assert np.allclose(comp.conj().T @ comp, np.eye(2))
@@ -265,13 +268,13 @@ def test_every_rank_decision_shares_the_cutoff(monkeypatch, eps, rank):
     m = u @ np.diag([1.0, 0.5, 1e-7]) @ v
     state = make_state([3, 3], m)
     assert schmidt_rank(state, {0})[0] == rank
-    assert core.orthocomplement_basis(m).shape[1] == 3 - rank
+    assert core.orthocomplement_basis(m, core.rank_eps()).shape[1] == 3 - rank
     projector = support_projectors(state).ops[0]
     assert np.trace(projector).real == pytest.approx(rank)
 
 
 def test_numerical_rank_of_nothing_is_zero():
-    assert core.numerical_rank(np.zeros(0)) == 0
+    assert core.numerical_rank(np.zeros(0), core.rank_eps()) == 0
 
 
 def test_hyperplane_equivalence_computes_each_complement_once(svd_calls):
@@ -303,7 +306,7 @@ def test_complement_map_decides_pivot_rank_once(svd_calls):
 
 def test_numerical_rank_of_overflowed_singular_values_is_undecidable():
     with pytest.raises(UndecidableError):
-        core.numerical_rank(np.array([np.inf, 0.0]))
+        core.numerical_rank(np.array([np.inf, 0.0]), core.rank_eps())
 
 
 @pytest.mark.parametrize("entry", [np.nan, 1e308])
@@ -403,3 +406,39 @@ def test_remember_keeps_one_value_per_key_and_cutoff(bell):
         with pytest.raises(UndecidableError):
             bell.remember("failed", 0.1, fail)
     assert calls == [1, 2, 3, 4, "fail", "fail"]
+
+
+
+def _hyperplane_pair():
+    target = construct.canonical_maximal((3, 2, 2), 2)
+    tup = random_invertible_tuple(target.dims, np.random.default_rng(6))
+    return target, apply_local(target, tup)
+
+
+def _fresh(dims):
+    return random_state(dims, np.random.default_rng(1))
+
+
+# each public question on fresh states, and how often it reads MES_RANK_EPS:
+# once per question, and once per part of a question made of parts
+@pytest.mark.parametrize("ask, inputs, reads", [
+    (schmidt_rank, lambda: (_fresh((2, 3, 2)), {1}), 1),
+    (local_ranks, lambda: (_fresh((2, 3, 2)),), 1),
+    (slocc.is_maximal, lambda: (construct.canonical_maximal((3, 2, 2), 1),), 1),
+    (slocc.complement_map, lambda: (construct.canonical_maximal((5, 3, 2), 1), 0), 1),
+    (slocc.classify_hyperplane, lambda: (construct.canonical_maximal((3, 2, 2), 1),), 1),
+    (slocc.equivalent, lambda: (construct.epr(3), _fresh((3, 3))), 1),
+    (slocc.incomparability_witness, lambda: construct.case1_pair(2), 1),
+    (rank.flattening_lower_bound, lambda: (_fresh((2, 2, 3)),), 1),
+    (construct.canonical_maximal, lambda: ((5, 3, 2), 2), 1),
+    (construct.augment_to_full_ranks,
+     lambda: (make_state([3, 2, 2], [1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0]),), 1),
+    (slocc.equivalent, _hyperplane_pair, 2),
+    (slocc.hyperplane_equivalence_tuple, _hyperplane_pair, 4),
+], ids=lambda p: getattr(p, "__name__", None))
+def test_each_question_reads_the_cutoff_once(monkeypatch, ask, inputs, reads):
+    args = inputs()
+    rank_eps, calls = core.rank_eps, []
+    monkeypatch.setattr(core, "rank_eps", lambda: calls.append(1) or rank_eps())
+    ask(*args)
+    assert len(calls) == reads

@@ -215,6 +215,13 @@ class TestReachFromMes:
         with pytest.raises(ConditionViolated):
             slocc.reach_from_mes((3, 2, 2), phi2_322)
 
+    def test_unsorted_dims_are_not_a_missing_mes(self):
+        # (2, 4) admits an MES, listed largest first as (4, 2)
+        assert slocc.mes_exists((2, 4))
+        target = core.make_state([2, 4], [1] + [0] * 7)
+        with pytest.raises(ConditionViolated, match="sorted non-increasing"):
+            slocc.reach_from_mes((2, 4), target)
+
     def test_profile_mismatch(self, ghz):
         with pytest.raises(ProfileMismatch):
             slocc.reach_from_mes((4, 2, 2), ghz)
