@@ -9,14 +9,14 @@ import numpy as np
 
 from . import core
 from .core import DimsProfile, PureState
-from .errors import BadClassIndex, BadDimension, BadProfile, ConditionViolated
+from .errors import PreconditionError
 
 
 def epr(d: int) -> PureState:
     """Generalized EPR state sum_i |ii> in d x d: the bipartite maximum
     entangled state."""
     if d < 2:
-        raise BadDimension(f"EPR dimension must be >= 2, got {d}")
+        raise PreconditionError(f"EPR dimension must be >= 2, got {d}")
     return mes_state((d, d))
 
 
@@ -28,10 +28,10 @@ def mes_state(dims: Sequence[int]) -> PureState:
     """
     prof = DimsProfile(dims)
     if prof.n < 2 or not prof.is_sorted_desc():
-        raise ConditionViolated(f"dims {prof.dims} must be sorted non-increasing, n >= 2")
+        raise PreconditionError(f"dims {prof.dims} must be sorted non-increasing, n >= 2")
     tail = prof.tail_product
     if not prof.has_mes:
-        raise ConditionViolated(
+        raise PreconditionError(
             f"no maximum entangled state: d1 = {prof.dims[0]} < {tail} = product of the rest"
         )
     amps = np.zeros(prof.total_dim, dtype=complex)
@@ -42,7 +42,7 @@ def mes_state(dims: Sequence[int]) -> PureState:
 def _sorted_tripartite(dims: Sequence[int]) -> core.DimsProfile:
     prof = DimsProfile(dims)
     if prof.n != 3 or not prof.is_sorted_desc():
-        raise BadProfile(f"need sorted tripartite dims, got {prof.dims}")
+        raise PreconditionError(f"need sorted tripartite dims, got {prof.dims}")
     return prof
 
 
@@ -51,9 +51,9 @@ def _rank_d1_pairs(dims: Sequence[int]) -> tuple:
     prof = _sorted_tripartite(dims)
     d1, d2, d3 = prof.dims
     if d3 < 2:
-        raise BadProfile("every dimension must be >= 2")
+        raise PreconditionError("every dimension must be >= 2")
     if prof.k < 0:
-        raise BadProfile(f"requires d1 <= d2*d3, got {prof.dims}")
+        raise PreconditionError(f"requires d1 <= d2*d3, got {prof.dims}")
     c0 = lambda a: a if a < d3 else 0  # the term |a, a, c0(a)> for each a < d2
     free = ((a, c) for a in range(d2) for c in range(d3) if c != c0(a))
     return prof, chain(((a, c0(a)) for a in range(d2)), islice(free, d1 - d2))
@@ -90,7 +90,7 @@ def augment_to_full_ranks(state: PureState, seed: int = 0) -> PureState:
     redrawn at random (seeded) in the unlikely event a rank fails to grow.
     """
     if state.n != 3:
-        raise BadProfile(f"tripartite state required, got {state.n} parties")
+        raise PreconditionError(f"tripartite state required, got {state.n} parties")
     eps = core.rank_eps()
     singles = [core.canonical_cut(3, {i}) for i in range(3)]
     rng = np.random.default_rng(seed)
@@ -128,7 +128,7 @@ def augment_to_full_ranks(state: PureState, seed: int = 0) -> PureState:
                 current = candidate
                 break
         else:
-            raise BadProfile("augmentation failed to raise local ranks")
+            raise PreconditionError("augmentation failed to raise local ranks")
     return current
 
 
@@ -142,9 +142,9 @@ def canonical_maximal(dims: Sequence[int], r: int) -> PureState:
     prof = _sorted_tripartite(dims)
     _, d2, d3 = prof.dims
     if prof.k != 1:
-        raise BadProfile(f"requires d1 = d2*d3 - 1 and d3 >= 2, got {prof.dims}")
+        raise PreconditionError(f"requires d1 = d2*d3 - 1 and d3 >= 2, got {prof.dims}")
     if not 1 <= r <= min(d2, d3):
-        raise BadClassIndex(f"class index {r} outside 1..{min(d2, d3)}")
+        raise PreconditionError(f"class index {r} outside 1..{min(d2, d3)}")
     omega = np.zeros(prof.tail_product, dtype=complex)
     omega[np.arange(r) * d3 + np.arange(r)] = 1.0
     basis = core.orthocomplement_basis(omega, core.rank_eps())  # (d2*d3, d1) orthonormal columns
@@ -155,7 +155,7 @@ def canonical_maximal(dims: Sequence[int], r: int) -> PureState:
 def matmul_tensor(m: int) -> PureState:
     """Matrix-multiplication tensor sum_{i,j,k} |i,j>|i,k>|k,j> in (m^2)^3."""
     if m < 2:
-        raise BadDimension(f"matrix size must be >= 2, got {m}")
+        raise PreconditionError(f"matrix size must be >= 2, got {m}")
     eye = np.eye(m, dtype=complex)
     # party indices (a,b), (c,d), (e,f) with a = c = i, b = f = j, d = e = k
     tens = np.einsum("ac,bf,de->abcdef", eye, eye, eye)
@@ -169,7 +169,7 @@ def case1_pair(d: int) -> Tuple[PureState, PureState]:
     of the first, pairs (0,2) and (1,3). Both have full local ranks, and their
     bipartition rank profiles witness SLOCC incomparability.
     """
-    bell = epr(d).tensor()  # raises BadDimension for d < 2
+    bell = epr(d).tensor()  # raises PreconditionError for d < 2
     pair = np.einsum("ab,cd->abcd", bell, bell)
     prof = DimsProfile((d, d, d, d))
     first = PureState(prof, pair.reshape(-1))

@@ -18,16 +18,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyOrFullSubset,
-    InvalidPartition,
-    LengthMismatch,
-    NonFiniteAmplitudes,
-    ShapeMismatch,
-    UndecidableError,
-    ZeroResult,
-    ZeroState,
-)
+from .errors import PreconditionError, UndecidableError
 
 DEFAULT_RANK_EPS = 1e-9
 
@@ -58,12 +49,12 @@ class DimsProfile:
     def __post_init__(self):
         dims = tuple(self.dims)
         if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) for d in dims):
-            raise LengthMismatch(f"dimensions must be integers, got {dims}")
+            raise PreconditionError(f"dimensions must be integers, got {dims}")
         dims = tuple(int(d) for d in dims)
         if len(dims) < 1:
-            raise LengthMismatch("profile needs at least one party")
+            raise PreconditionError("profile needs at least one party")
         if any(d < 1 for d in dims):
-            raise LengthMismatch(f"dimensions must be >= 1, got {dims}")
+            raise PreconditionError(f"dimensions must be >= 1, got {dims}")
         object.__setattr__(self, "dims", dims)
 
     @property
@@ -154,7 +145,7 @@ class LocalOperatorTuple:
         ops = tuple(np.asarray(op, dtype=complex) for op in self.ops)
         for i, op in enumerate(ops):
             if op.ndim != 2:
-                raise ShapeMismatch(f"operator {i} is not a matrix")
+                raise PreconditionError(f"operator {i} is not a matrix")
         object.__setattr__(self, "ops", ops)
 
     @property
@@ -176,13 +167,13 @@ def make_state(dims: Sequence[int], amplitudes: Sequence[complex]) -> PureState:
     prof = DimsProfile(dims)
     amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if amps.size != prof.total_dim:
-        raise LengthMismatch(
+        raise PreconditionError(
             f"expected {prof.total_dim} amplitudes for dims {prof.dims}, got {amps.size}"
         )
     if not np.isfinite(amps).all():
-        raise NonFiniteAmplitudes("amplitudes must be finite, got NaN or infinity")
+        raise PreconditionError("amplitudes must be finite, got NaN or infinity")
     if not np.any(amps):
-        raise ZeroState("all amplitudes are zero")
+        raise PreconditionError("all amplitudes are zero")
     return PureState(prof, amps)
 
 
@@ -217,11 +208,11 @@ def _cut_rank(state: PureState, cut: tuple, eps: float) -> tuple:
 
 def canonical_cut(n: int, subset: Iterable[int]) -> tuple:
     """Key of the cut subset : rest of n parties, the sorted side holding party 0;
-    raises EmptyOrFullSubset unless subset is a proper non-empty set of parties."""
+    raises PreconditionError unless subset is a proper non-empty set of parties."""
     sub = {int(i) for i in subset}
     parties = set(range(n))
     if not sub or not sub < parties:
-        raise EmptyOrFullSubset(
+        raise PreconditionError(
             f"subset {sorted(sub)} must be a proper non-empty subset of parties 0..{n - 1}")
     return tuple(sorted(sub if 0 in sub else parties - sub))
 
@@ -241,6 +232,12 @@ def schmidt_rank(state: PureState, subset: Iterable[int]):
     return decide(state, canonical_cut(state.n, subset), rank_eps())
 
 
+def require_two_parties(n: int) -> None:
+    """Raise PreconditionError unless n >= 2: a cut needs a party on each side."""
+    if n < 2:
+        raise PreconditionError("at least two parties required")
+
+
 def canonical_bipartitions(n: int):
     """All proper party subsets containing party 0, by size then lex order, as
     the sorted tuples that key each cut in reports and in what a state remembers."""
@@ -258,6 +255,7 @@ def _cut_table(n: int) -> tuple:
 
 def local_ranks(state: PureState) -> RankProfile:
     """Every single-party rank and every canonical bipartition Schmidt rank."""
+    require_two_parties(state.n)
     singles, bipartitions = _cut_table(state.n)
     eps = rank_eps()
     return RankProfile(
@@ -276,10 +274,10 @@ def is_full_local_ranks(state: PureState, eps: float) -> bool:
 def apply_local(state: PureState, tup: LocalOperatorTuple) -> PureState:
     """Apply one operator per party; output dims are the operator row counts."""
     if tup.n != state.n:
-        raise ShapeMismatch(f"{tup.n} operators for {state.n} parties")
+        raise PreconditionError(f"{tup.n} operators for {state.n} parties")
     for i, op in enumerate(tup.ops):
         if op.shape[1] != state.dims[i]:
-            raise ShapeMismatch(
+            raise PreconditionError(
                 f"operator {i} has {op.shape[1]} columns, party dimension is {state.dims[i]}"
             )
     tens = state.tensor()
@@ -287,9 +285,9 @@ def apply_local(state: PureState, tup: LocalOperatorTuple) -> PureState:
         for i, op in enumerate(tup.ops):
             tens = np.moveaxis(np.tensordot(op, tens, axes=(1, i)), 0, i)
     if not np.isfinite(tens).all():
-        raise NonFiniteAmplitudes("operator tuple gives NaN or infinite amplitudes")
+        raise PreconditionError("operator tuple gives NaN or infinite amplitudes")
     if not np.any(tens):
-        raise ZeroResult("operator tuple annihilates the state")
+        raise PreconditionError("operator tuple annihilates the state")
     out_dims = tuple(op.shape[0] for op in tup.ops)
     return PureState(DimsProfile(out_dims), tens.reshape(-1))
 
@@ -302,11 +300,11 @@ def group_parties(state: PureState, groups: Sequence[Sequence[int]]) -> PureStat
     groups = tuple(tuple(int(i) for i in g) for g in groups)
     order = [i for g in groups for i in g]
     if sorted(order) != list(range(state.n)):
-        raise InvalidPartition(
+        raise PreconditionError(
             f"groups {groups} do not partition parties 0..{state.n - 1}"
         )
     if any(len(g) == 0 for g in groups):
-        raise InvalidPartition("empty group")
+        raise PreconditionError("empty group")
     tens = state.tensor().transpose(order)
     new_dims = tuple(math.prod(state.dims[i] for i in g) for g in groups)
     return PureState(DimsProfile(new_dims), tens.reshape(-1))

@@ -36,6 +36,13 @@ def _complex(pairs) -> np.ndarray:
     return flat.view(complex)
 
 
+def _field(data: dict, key: str):
+    """data[key]; ValueError naming the field when data lacks it."""
+    if key not in data:
+        raise ValueError(f"missing field {key!r}")
+    return data[key]
+
+
 def state_to_dict(state: PureState) -> dict:
     return {"dims": list(state.dims), "amps": _pairs(state.amplitudes)}
 
@@ -43,10 +50,10 @@ def state_to_dict(state: PureState) -> dict:
 def state_from_dict(data: dict) -> PureState:
     if not isinstance(data, dict):
         raise ValueError("a state must be a JSON object")
-    dims = data["dims"]
+    dims = _field(data, "dims")
     if type(dims) is not list or any(type(d) is not int for d in dims):
         raise ValueError(f"dims must be a list of integers, got {dims!r}")
-    return make_state(dims, _complex(data["amps"]))
+    return make_state(dims, _complex(_field(data, "amps")))
 
 
 def ops_to_dict(tup: LocalOperatorTuple) -> dict:
@@ -62,7 +69,7 @@ def _list_member(data, key: str) -> list:
     """data[key]; ValueError unless data is a JSON object and the value a list."""
     if not isinstance(data, dict):
         raise ValueError(f"a document holding {key!r} must be a JSON object")
-    items = data[key]
+    items = _field(data, key)
     if not isinstance(items, list):
         raise ValueError(f"{key!r} must be a list, got {items!r}")
     return items
@@ -73,10 +80,10 @@ def ops_from_dict(data: dict) -> LocalOperatorTuple:
     for entry in _list_member(data, "ops"):
         if not isinstance(entry, dict):
             raise ValueError(f"each operator must be a JSON object, got {entry!r}")
-        shape = (entry["rows"], entry["cols"])
+        shape = (_field(entry, "rows"), _field(entry, "cols"))
         if any(type(n) is not int or n < 1 for n in shape):
             raise ValueError(f"rows and cols must be positive integers, got {shape}")
-        ops.append(_complex(entry["entries"]).reshape(shape))
+        ops.append(_complex(_field(entry, "entries")).reshape(shape))
     return LocalOperatorTuple(tuple(ops))
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import core
 from .core import DimsProfile, PureState
-from .errors import NonFiniteAmplitudes, NotTripartite, ShapeMismatch, SingleParty, Unsorted
+from .errors import PreconditionError
 
 CERTIFICATE_TOL = 1e-10
 
@@ -53,8 +53,6 @@ class ProductDecomposition:
 
 def flattening_lower_bound(state: PureState) -> int:
     """Max Schmidt rank over all bipartitions; a lower bound on tensor rank."""
-    if state.n < 2:
-        raise SingleParty("at least two parties required")
     return max(core.local_ranks(state).bipartition_ranks.values())
 
 
@@ -67,9 +65,9 @@ def space_rank_bounds(dims: Sequence[int]) -> RankBound:
     """
     prof = DimsProfile(dims)
     if prof.n != 3:
-        raise NotTripartite(f"need three parties, got {prof.n}")
+        raise PreconditionError(f"need three parties, got {prof.n}")
     if not prof.is_sorted_desc():
-        raise Unsorted(f"dims {prof.dims} must be sorted non-increasing")
+        raise PreconditionError(f"dims {prof.dims} must be sorted non-increasing")
     d1, d2, d3 = prof.dims
     k, tail = prof.k, prof.tail_product
     if prof.has_mes:
@@ -88,16 +86,16 @@ def expand_decomposition(
 ) -> np.ndarray:
     """Sum of outer products of the terms, as a flat amplitude vector.
 
-    Raises NonFiniteAmplitudes when the sum overflows or is NaN.
+    Raises PreconditionError when the sum overflows or is NaN.
     """
     prof = DimsProfile(dims)
     total = np.zeros(prof.dims, dtype=complex)
     for t, term in enumerate(decomposition.terms):
         if len(term) != prof.n:
-            raise ShapeMismatch(f"term {t} has {len(term)} factors for {prof.n} parties")
+            raise PreconditionError(f"term {t} has {len(term)} factors for {prof.n} parties")
         for i, v in enumerate(term):
             if v.size != prof.dims[i]:
-                raise ShapeMismatch(
+                raise PreconditionError(
                     f"term {t} factor {i} has length {v.size}, party dimension is {prof.dims[i]}"
                 )
         if all(np.any(v) for v in term):
@@ -107,9 +105,9 @@ def expand_decomposition(
                     prod = np.multiply.outer(prod, v)
                 total += prod
         else:
-            raise ShapeMismatch(f"term {t} contains a zero factor")
+            raise PreconditionError(f"term {t} contains a zero factor")
     if not np.isfinite(total).all():
-        raise NonFiniteAmplitudes("decomposition expands to NaN or infinite amplitudes")
+        raise PreconditionError("decomposition expands to NaN or infinite amplitudes")
     return total.reshape(-1)
 
 

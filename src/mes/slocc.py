@@ -9,18 +9,7 @@ import numpy as np
 
 from . import core
 from .core import DimsProfile, LocalOperatorTuple, PureState
-from .errors import (
-    ConditionViolated,
-    NonPositiveK,
-    NotHyperplaneProfile,
-    NotMaximal,
-    PivotRankDeficient,
-    PreconditionError,
-    ProfileMismatch,
-    SingleParty,
-    TrivialParty,
-    UndecidableError,
-)
+from .errors import PreconditionError, UndecidableError
 
 
 @dataclass(frozen=True)
@@ -50,10 +39,9 @@ class CatalogEntry:
 
 
 def _check_party_dims(prof: DimsProfile) -> None:
-    if prof.n < 2:
-        raise SingleParty("at least two parties required")
+    core.require_two_parties(prof.n)
     if any(d < 2 for d in prof.dims):
-        raise TrivialParty(f"dimensions must all be >= 2, got {prof.dims}")
+        raise PreconditionError(f"dimensions must all be >= 2, got {prof.dims}")
 
 
 def mes_exists(dims: Sequence[int]) -> bool:
@@ -84,9 +72,9 @@ def complement_map(state: PureState, pivot: int) -> ComplementClass:
     repeated call returns the same (immutable) ComplementClass.
     """
     if not 0 <= pivot < state.n:
-        raise ProfileMismatch(f"pivot {pivot} out of range for {state.n} parties")
+        raise PreconditionError(f"pivot {pivot} out of range for {state.n} parties")
     if state.profile.total_dim <= state.dims[pivot] ** 2:
-        raise NonPositiveK(f"pivot dimension {state.dims[pivot]} >= product of the rest")
+        raise PreconditionError(f"pivot dimension {state.dims[pivot]} >= product of the rest")
     return _complement(state, pivot, core.rank_eps())
 
 
@@ -100,7 +88,7 @@ def _complement_class(state: PureState, pivot: int, eps: float) -> ComplementCla
     perp = core.orthocomplement_basis(flat, eps)
     k = flat.shape[1] - flat.shape[0]
     if perp.shape[1] != k:
-        raise PivotRankDeficient(
+        raise PreconditionError(
             f"pivot local rank {perp.shape[0] - perp.shape[1]} < dimension {state.dims[pivot]}"
         )
     rest_dims = state.dims[:pivot] + state.dims[pivot + 1:]
@@ -120,23 +108,23 @@ def classify_hyperplane(state: PureState) -> int:
     """
     prof = state.profile
     if prof.n != 3:
-        raise NotHyperplaneProfile(
+        raise PreconditionError(
             f"labelled classification needs three parties, got {prof.n}; "
             "use complement_map for the unlabelled representative"
         )
     if not prof.is_sorted_desc():
-        raise NotHyperplaneProfile(f"dims {prof.dims} must be sorted non-increasing")
+        raise PreconditionError(f"dims {prof.dims} must be sorted non-increasing")
     if prof.k != 1:
-        raise NotHyperplaneProfile(f"requires d1 = d2*d3 - 1, got {prof.dims}")
+        raise PreconditionError(f"requires d1 = d2*d3 - 1, got {prof.dims}")
     eps = core.rank_eps()
     if not core.is_full_local_ranks(state, eps):
-        raise NotMaximal("state does not have full local ranks")
+        raise PreconditionError("state does not have full local ranks")
     return _complement(state, 0, eps).label
 
 
 def _same_dims(a: PureState, b: PureState) -> None:
     if a.dims != b.dims:
-        raise ProfileMismatch(f"dims differ: {a.dims} vs {b.dims}")
+        raise PreconditionError(f"dims differ: {a.dims} vs {b.dims}")
 
 
 def equivalent(a: PureState, b: PureState) -> bool:
@@ -170,6 +158,7 @@ def incomparability_witness(
     A None result proves nothing.
     """
     _same_dims(a, b)
+    core.require_two_parties(a.n)
     eps = core.rank_eps()
     a_wins = b_wins = None
     # one decision per state and cut, not local_ranks: the early break
@@ -197,11 +186,11 @@ def reach_from_mes(dims: Sequence[int], target: PureState) -> LocalOperatorTuple
     prof = DimsProfile(dims)
     _check_party_dims(prof)
     if not prof.has_mes:
-        raise ConditionViolated(f"no maximum entangled state for dims {prof.dims}")
+        raise PreconditionError(f"no maximum entangled state for dims {prof.dims}")
     if not prof.is_sorted_desc():
-        raise ConditionViolated(f"dims {prof.dims} must be sorted non-increasing")
+        raise PreconditionError(f"dims {prof.dims} must be sorted non-increasing")
     if target.dims != prof.dims:
-        raise ProfileMismatch(f"target dims {target.dims} != {prof.dims}")
+        raise PreconditionError(f"target dims {target.dims} != {prof.dims}")
     d1 = prof.dims[0]
     flat = core.flattening(target, {0})  # d1 x tail_product
     l1 = np.zeros((d1, d1), dtype=complex)
@@ -224,7 +213,7 @@ def hyperplane_equivalence_tuple(
     _same_dims(target, source)
     label_t, label_s = classify_hyperplane(target), classify_hyperplane(source)
     if label_t != label_s:
-        raise ConditionViolated(
+        raise PreconditionError(
             f"class labels differ: {label_t} vs {label_s}; states are inequivalent"
         )
     # both complement states are 1 x d2 x d3, remembered by classify_hyperplane

@@ -176,40 +176,54 @@ def test_bad_rank_eps_exit_1(capsys, tmp_path, monkeypatch, bell, value):
     assert "MES_RANK_EPS" in err
 
 
-@pytest.mark.parametrize("doc", [
-    {"dims": "22", "amps": [[1, 0], [0, 0], [0, 0], [1, 0]]},
-    {"dims": [2, 2], "amps": [1, 0, 0, 1]},
-    {"dims": [2, 2], "amps": [[1, 0, 0], [0], [0, 0], [1, 0]]},
-])
-def test_malformed_state_exit_1(capsys, tmp_path, doc):
+BELL_AMPS = [[1, 0], [0, 0], [0, 0], [1, 0]]
+# (document, what the error names)
+MALFORMED_STATES = [
+    ({"dims": "22", "amps": BELL_AMPS}, "dims must be a list of integers"),
+    ({"dims": [2, 2], "amps": [1, 0, 0, 1]}, "[re, im]"),
+    ({"dims": [2, 2], "amps": [[1, 0, 0], [0], [0, 0], [1, 0]]}, "[re, im]"),
+    ({"dims": [2, 2]}, "missing field 'amps'"),
+    ({"amps": BELL_AMPS}, "missing field 'dims'"),
+]
+
+
+@pytest.mark.parametrize("doc, named", MALFORMED_STATES,
+                         ids=[f"doc{i}" for i in range(len(MALFORMED_STATES))])
+def test_malformed_state_exit_1(capsys, tmp_path, doc, named):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "maximal", str(path))
     assert code == 1
-    assert out == "" and "input error" in err
+    assert out == "" and err.startswith("input error") and named in err
 
 
-IDENTITY = {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}
+IDENTITY = {"rows": 2, "cols": 2, "entries": BELL_AMPS}
+# (command, document, what the error names)
+MALFORMED_DOCS = [
+    ("apply", {"ops": [dict(IDENTITY, rows="2"), IDENTITY]}, "rows and cols"),
+    ("apply", {"ops": [dict(IDENTITY, rows=True), IDENTITY]}, "rows and cols"),
+    ("apply", {"ops": [dict(IDENTITY, rows=-1), IDENTITY]}, "rows and cols"),
+    ("apply", [IDENTITY, IDENTITY], "holding 'ops'"),
+    ("apply", {"ops": 5}, "'ops' must be a list"),
+    ("apply", {"ops": [5]}, "each operator"),
+    ("verify-decomp", {"terms": 5}, "'terms' must be a list"),
+    ("verify-decomp", {"terms": [5]}, "each term"),
+    ("verify-decomp", [[[[1, 0]], [[1, 0]]]], "holding 'terms'"),
+    ("apply", {"ops": [{"rows": 2, "entries": BELL_AMPS}, IDENTITY]}, "missing field 'cols'"),
+    ("apply", {"operators": [IDENTITY, IDENTITY]}, "missing field 'ops'"),
+    ("verify-decomp", {}, "missing field 'terms'"),
+]
 
 
-@pytest.mark.parametrize("command, doc", [
-    ("apply", {"ops": [dict(IDENTITY, rows="2"), IDENTITY]}),
-    ("apply", {"ops": [dict(IDENTITY, rows=True), IDENTITY]}),
-    ("apply", {"ops": [dict(IDENTITY, rows=-1), IDENTITY]}),
-    ("apply", [IDENTITY, IDENTITY]),
-    ("apply", {"ops": 5}),
-    ("apply", {"ops": [5]}),
-    ("verify-decomp", {"terms": 5}),
-    ("verify-decomp", {"terms": [5]}),
-    ("verify-decomp", [[[[1, 0]], [[1, 0]]]]),
-])
-def test_malformed_ops_and_decomposition_exit_1(capsys, tmp_path, bell, command, doc):
+@pytest.mark.parametrize("command, doc, named", MALFORMED_DOCS,
+                         ids=[f"{case[0]}-doc{i}" for i, case in enumerate(MALFORMED_DOCS)])
+def test_malformed_ops_and_decomposition_exit_1(capsys, tmp_path, bell, command, doc, named):
     state = write_state(tmp_path, "bell.json", bell)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, command, state, str(path))
     assert code == 1
-    assert out == "" and "input error" in err
+    assert out == "" and err.startswith("input error") and named in err
 
 
 def test_non_finite_amplitude_exit_2(capsys, tmp_path):
@@ -287,11 +301,17 @@ def test_apply_non_finite_result_exit_2(capsys, tmp_path, bell, entry):
     assert out == "" and "finite" in err
 
 
-def test_rank_lb_single_party_exit_2(capsys, tmp_path):
+# command -> how many state files it reads
+ONE_PARTY_COMMANDS = {"rank-lb": 1, "local-ranks": 1, "maximal": 1, "witness": 2}
+
+
+@pytest.mark.parametrize("command", ONE_PARTY_COMMANDS)
+def test_one_party_state_exit_2(capsys, tmp_path, command):
+    # every question about cuts needs two parties, and says so the same way
     path = write_state(tmp_path, "one.json", core.make_state([2], [1, 0]))
-    code, out, err = run(capsys, "rank-lb", path)
+    code, out, err = run(capsys, command, *[path] * ONE_PARTY_COMMANDS[command])
     assert code == 2
-    assert out == "" and "two parties" in err
+    assert out == "" and err == "precondition violated: at least two parties required\n"
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]])

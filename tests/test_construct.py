@@ -3,7 +3,7 @@ import pytest
 
 from _helpers import random_state, support_projectors
 from mes import construct, core, rank, slocc
-from mes.errors import BadClassIndex, BadDimension, BadProfile, ConditionViolated
+from mes.errors import PreconditionError
 
 
 def nonzero_indices(state):
@@ -26,7 +26,7 @@ def test_epr_local_ranks(d):
 
 
 def test_epr_rejects_small_d():
-    with pytest.raises(BadDimension):
+    with pytest.raises(PreconditionError, match="EPR dimension must be >= 2"):
         construct.epr(1)
 
 
@@ -42,7 +42,7 @@ def test_mes_state_bipartite_is_epr():
 
 
 def test_mes_state_rejects_322():
-    with pytest.raises(ConditionViolated):
+    with pytest.raises(PreconditionError, match="no maximum entangled state"):
         construct.mes_state((3, 2, 2))
 
 
@@ -68,9 +68,9 @@ def test_maximal_rank_d1_full_ranks_and_rank():
 
 
 def test_maximal_rank_d1_rejects_mes_profile():
-    with pytest.raises(BadProfile):
+    with pytest.raises(PreconditionError, match=r"requires d1 <= d2\*d3"):
         construct.maximal_rank_d1((5, 2, 2))
-    with pytest.raises(BadProfile):
+    with pytest.raises(PreconditionError, match="need sorted tripartite dims"):
         construct.maximal_rank_d1((2, 2, 3))
     # boundary d1 = d2*d3 is allowed
     assert core.is_full_local_ranks(construct.maximal_rank_d1((4, 2, 2)), core.rank_eps())
@@ -131,9 +131,9 @@ def test_canonical_maximal_532():
 
 
 def test_canonical_maximal_rejects_bad_inputs():
-    with pytest.raises(BadProfile):
+    with pytest.raises(PreconditionError, match=r"requires d1 = d2\*d3 - 1"):
         construct.canonical_maximal((4, 2, 2), 1)
-    with pytest.raises(BadClassIndex):
+    with pytest.raises(PreconditionError, match="class index 3 outside"):
         construct.canonical_maximal((3, 2, 2), 3)
 
 
@@ -146,7 +146,7 @@ def test_matmul_tensor_m2():
 
 
 def test_matmul_tensor_rejects_m1():
-    with pytest.raises(BadDimension):
+    with pytest.raises(PreconditionError, match="matrix size must be >= 2"):
         construct.matmul_tensor(1)
 
 

@@ -1,6 +1,7 @@
 """Design rules the package keeps, checked on its source."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import mes
@@ -17,3 +18,25 @@ def test_private_attributes_are_reached_only_through_self():
                     and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
                 hits.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert hits == []
+
+
+def test_each_exception_class_has_its_own_exit_code():
+    # errors.py holds the only exception classes, and cli.main catches each
+    # one by name, so every failure class maps to one exit code
+    source = {path.name: ast.parse(path.read_text(), str(path))
+              for path in Path(mes.__file__).parent.glob("*.py")}
+    defined = {node.name for node in ast.walk(source["errors.py"])
+               if isinstance(node, ast.ClassDef)}
+    main = next(node for node in ast.walk(source["cli.py"])
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = {name.id for handler in ast.walk(main) if isinstance(handler, ast.ExceptHandler)
+              for name in ast.walk(handler.type) if isinstance(name, ast.Name)}
+    assert defined - caught == set()
+    exceptions = defined | {name for name in dir(builtins)
+                            if isinstance(getattr(builtins, name), type)
+                            and issubclass(getattr(builtins, name), BaseException)}
+    elsewhere = [f"{name}:{node.lineno}: {node.name}"
+                 for name, tree in source.items() if name != "errors.py"
+                 for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                 and any(ast.unparse(base).split(".")[-1] in exceptions for base in node.bases)]
+    assert elsewhere == []

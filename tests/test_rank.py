@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mes import construct, core, rank
-from mes.errors import NotTripartite, ShapeMismatch, Unsorted
+from mes.errors import PreconditionError
 from mes.rank import ProductDecomposition, RankBound
 
 
@@ -49,9 +49,9 @@ def test_space_rank_bounds_mes_profile():
 
 
 def test_space_rank_bounds_validation():
-    with pytest.raises(NotTripartite):
+    with pytest.raises(PreconditionError, match="need three parties"):
         rank.space_rank_bounds((2, 2))
-    with pytest.raises(Unsorted):
+    with pytest.raises(PreconditionError, match="sorted non-increasing"):
         rank.space_rank_bounds((2, 2, 3))
 
 
@@ -98,7 +98,7 @@ def test_verify_rejects_wrong_state(ghz):
 
 
 def test_verify_shape_mismatch(ghz):
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(PreconditionError, match="factor 0 has length 3"):
         rank.verify_decomposition(
             ghz, ProductDecomposition((([1, 0, 0], [1, 0], [1, 0]),))
         )

@@ -3,17 +3,7 @@ import pytest
 
 from _helpers import random_invertible_tuple
 from mes import construct, core, slocc
-from mes.errors import (
-    ConditionViolated,
-    NonPositiveK,
-    NotHyperplaneProfile,
-    NotMaximal,
-    PivotRankDeficient,
-    ProfileMismatch,
-    SingleParty,
-    TrivialParty,
-    UndecidableError,
-)
+from mes.errors import PreconditionError, UndecidableError
 
 
 class TestMesExists:
@@ -35,11 +25,11 @@ class TestMesExists:
         assert slocc.mes_exists((2, 4, 2)) is True
 
     def test_rejects_trivial_party(self):
-        with pytest.raises(TrivialParty):
+        with pytest.raises(PreconditionError, match="dimensions must all be >= 2"):
             slocc.mes_exists((2, 1))
 
     def test_rejects_single_party(self):
-        with pytest.raises(SingleParty):
+        with pytest.raises(PreconditionError, match="at least two parties required"):
             slocc.mes_exists((5,))
 
 
@@ -84,12 +74,12 @@ class TestComplementMap:
 
     def test_pivot_rank_deficient(self):
         s = core.make_state([3, 2, 2], [1] + [0] * 11)
-        with pytest.raises(PivotRankDeficient):
+        with pytest.raises(PreconditionError, match="pivot local rank"):
             slocc.complement_map(s, 0)
 
     def test_nonpositive_k(self):
         s = construct.mes_state((4, 2, 2))
-        with pytest.raises(NonPositiveK):
+        with pytest.raises(PreconditionError, match="pivot dimension 4 >= product of the rest"):
             slocc.complement_map(s, 0)
 
     def test_complement_local_rank_is_k(self):
@@ -110,12 +100,12 @@ class TestClassifyHyperplane:
             assert slocc.classify_hyperplane(core.apply_local(phi2_322, tup)) == 2
 
     def test_rejects_non_hyperplane(self, ghz):
-        with pytest.raises(NotHyperplaneProfile):
+        with pytest.raises(PreconditionError, match=r"requires d1 = d2\*d3 - 1"):
             slocc.classify_hyperplane(ghz)
 
     def test_rejects_non_maximal(self):
         s = core.make_state([3, 2, 2], [1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0])
-        with pytest.raises(NotMaximal):
+        with pytest.raises(PreconditionError, match="does not have full local ranks"):
             slocc.classify_hyperplane(s)
 
 
@@ -138,7 +128,7 @@ class TestEquivBipartite:
     def test_validation(self, ghz, bell):
         with pytest.raises(UndecidableError):
             slocc.equivalent(ghz, ghz)
-        with pytest.raises(ProfileMismatch):
+        with pytest.raises(PreconditionError, match="dims differ"):
             slocc.equivalent(bell, core.make_state([3, 3], [1] + [0] * 8))
 
 
@@ -163,7 +153,7 @@ class TestEquivalent:
     def test_rejects_different_profiles(self):
         a = construct.canonical_maximal((5, 3, 2), 1)
         b = construct.canonical_maximal((11, 4, 3), 1)
-        with pytest.raises(ProfileMismatch, match="dims differ"):
+        with pytest.raises(PreconditionError, match="dims differ"):
             slocc.equivalent(a, b)
 
 
@@ -185,7 +175,7 @@ class TestIncomparabilityWitness:
         assert slocc.incomparability_witness(phi1_322, phi2_322) is None
 
     def test_profile_mismatch(self, ghz, bell):
-        with pytest.raises(ProfileMismatch):
+        with pytest.raises(PreconditionError, match="dims differ"):
             slocc.incomparability_witness(ghz, bell)
 
 
@@ -212,18 +202,18 @@ class TestReachFromMes:
         assert np.allclose(tup.ops[0], np.diag([1, 2]))
 
     def test_rejects_missing_mes(self, phi2_322):
-        with pytest.raises(ConditionViolated):
+        with pytest.raises(PreconditionError, match="no maximum entangled state"):
             slocc.reach_from_mes((3, 2, 2), phi2_322)
 
     def test_unsorted_dims_are_not_a_missing_mes(self):
         # (2, 4) admits an MES, listed largest first as (4, 2)
         assert slocc.mes_exists((2, 4))
         target = core.make_state([2, 4], [1] + [0] * 7)
-        with pytest.raises(ConditionViolated, match="sorted non-increasing"):
+        with pytest.raises(PreconditionError, match="sorted non-increasing"):
             slocc.reach_from_mes((2, 4), target)
 
     def test_profile_mismatch(self, ghz):
-        with pytest.raises(ProfileMismatch):
+        with pytest.raises(PreconditionError, match="target dims"):
             slocc.reach_from_mes((4, 2, 2), ghz)
 
 
@@ -238,7 +228,7 @@ class TestHyperplaneEquivalenceTuple:
                 assert np.linalg.matrix_rank(op) == op.shape[0]
 
     def test_rejects_different_labels(self, phi1_322, phi2_322):
-        with pytest.raises(ConditionViolated):
+        with pytest.raises(PreconditionError, match="class labels differ"):
             slocc.hyperplane_equivalence_tuple(phi1_322, phi2_322)
 
 
@@ -270,5 +260,5 @@ class TestFiniteClassCatalog:
             assert slocc.finite_class_catalog(dims).finite
 
     def test_trivial_party(self):
-        with pytest.raises(TrivialParty):
+        with pytest.raises(PreconditionError, match="dimensions must all be >= 2"):
             slocc.finite_class_catalog((2, 2, 1))
