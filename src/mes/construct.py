@@ -14,9 +14,7 @@ from .errors import PreconditionError
 
 def epr(d: int) -> PureState:
     """Generalized EPR state sum_i |ii> in d x d: the bipartite maximum
-    entangled state."""
-    if d < 2:
-        raise PreconditionError(f"EPR dimension must be >= 2, got {d}")
+    entangled state, refused as mes_state refuses (d, d)."""
     return mes_state((d, d))
 
 
@@ -24,34 +22,20 @@ def mes_state(dims: Sequence[int]) -> PureState:
     """Maximum entangled state sum_j |j>|decode(j)> for d1 >= prod(rest).
 
     decode(j) is the j-th lexicographic product basis vector of the tail
-    parties, so the amplitude of |j>|j> (tail index flattened) is 1.
+    parties, so the amplitude of |j>|j> (tail index flattened) is 1. Refuses
+    what slocc.mes_exists refuses, then unsorted profiles and those with no MES.
     """
-    prof = DimsProfile(dims)
-    if prof.n < 2 or not prof.is_sorted_desc():
-        raise PreconditionError(f"dims {prof.dims} must be sorted non-increasing, n >= 2")
+    prof = DimsProfile(dims).require_nontrivial_dims().require_sorted().require_mes()
     tail = prof.tail_product
-    if not prof.has_mes:
-        raise PreconditionError(
-            f"no maximum entangled state: d1 = {prof.dims[0]} < {tail} = product of the rest"
-        )
     amps = np.zeros(prof.total_dim, dtype=complex)
     amps[np.arange(tail) * tail + np.arange(tail)] = 1.0
     return PureState(prof, amps)
 
 
-def _sorted_tripartite(dims: Sequence[int]) -> core.DimsProfile:
-    prof = DimsProfile(dims)
-    if prof.n != 3 or not prof.is_sorted_desc():
-        raise PreconditionError(f"need sorted tripartite dims, got {prof.dims}")
-    return prof
-
-
 def _rank_d1_pairs(dims: Sequence[int]) -> tuple:
     """Validated profile and lazy (a_i, c_i) of the terms |i, a_i, c_i>, i < d1."""
-    prof = _sorted_tripartite(dims)
+    prof = DimsProfile(dims).require_three_parties().require_nontrivial_dims().require_sorted()
     d1, d2, d3 = prof.dims
-    if d3 < 2:
-        raise PreconditionError("every dimension must be >= 2")
     if prof.k < 0:
         raise PreconditionError(f"requires d1 <= d2*d3, got {prof.dims}")
     c0 = lambda a: a if a < d3 else 0  # the term |a, a, c0(a)> for each a < d2
@@ -89,8 +73,7 @@ def augment_to_full_ranks(state: PureState, seed: int = 0) -> PureState:
     supports recovers the input, so no bipartition rank decreases. Factors are
     redrawn at random (seeded) in the unlikely event a rank fails to grow.
     """
-    if state.n != 3:
-        raise PreconditionError(f"tripartite state required, got {state.n} parties")
+    state.profile.require_three_parties()
     eps = core.rank_eps()
     singles = [core.canonical_cut(3, {i}) for i in range(3)]
     rng = np.random.default_rng(seed)
@@ -139,10 +122,9 @@ def canonical_maximal(dims: Sequence[int], r: int) -> PureState:
     orthocomplement, inside d2 x d3, of sum_{j<r} |jj>. Its complement state
     has Schmidt rank r across d2 : d3.
     """
-    prof = _sorted_tripartite(dims)
+    prof = (DimsProfile(dims).require_three_parties().require_nontrivial_dims()
+            .require_sorted().require_hyperplane())
     _, d2, d3 = prof.dims
-    if prof.k != 1:
-        raise PreconditionError(f"requires d1 = d2*d3 - 1 and d3 >= 2, got {prof.dims}")
     if not 1 <= r <= min(d2, d3):
         raise PreconditionError(f"class index {r} outside 1..{min(d2, d3)}")
     omega = np.zeros(prof.tail_product, dtype=complex)

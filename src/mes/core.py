@@ -89,8 +89,48 @@ class DimsProfile:
         """Deficiency d2*d3 - d1 of a tripartite profile; k = 1 is the hyperplane."""
         return self.deficiency if self.n == 3 else None
 
-    def is_sorted_desc(self) -> bool:
-        return self.dims == self.sorted_desc
+    # The gates: each raises PreconditionError, with the only copy of its
+    # message, unless the profile meets its condition, and returns the profile.
+    # Every question checks party count, then dimensions, then order, then
+    # deficiency, so a profile that breaks two rules gets one message.
+
+    def require_two_parties(self) -> DimsProfile:
+        """At least two parties: a cut needs a party on each side."""
+        if self.n < 2:
+            raise PreconditionError("at least two parties required")
+        return self
+
+    def require_three_parties(self) -> DimsProfile:
+        if self.n != 3:
+            raise PreconditionError(f"three parties required, got {self.n}")
+        return self
+
+    def require_nontrivial_dims(self) -> DimsProfile:
+        """Two or more parties, each of dimension at least 2."""
+        self.require_two_parties()
+        if any(d < 2 for d in self.dims):
+            raise PreconditionError(f"dimensions must all be >= 2, got {self.dims}")
+        return self
+
+    def require_sorted(self) -> DimsProfile:
+        if self.dims != self.sorted_desc:
+            raise PreconditionError(f"dims {self.dims} must be sorted non-increasing")
+        return self
+
+    def require_mes(self) -> DimsProfile:
+        if not self.has_mes:
+            raise PreconditionError(f"no maximum entangled state for dims {self.dims}")
+        return self
+
+    def require_hyperplane(self) -> DimsProfile:
+        if self.k != 1:
+            raise PreconditionError(f"requires d1 = d2*d3 - 1, got {self.dims}")
+        return self
+
+    def require_same(self, other: DimsProfile) -> DimsProfile:
+        if self.dims != other.dims:
+            raise PreconditionError(f"dims differ: {self.dims} vs {other.dims}")
+        return self
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,12 +272,6 @@ def schmidt_rank(state: PureState, subset: Iterable[int]):
     return decide(state, canonical_cut(state.n, subset), rank_eps())
 
 
-def require_two_parties(n: int) -> None:
-    """Raise PreconditionError unless n >= 2: a cut needs a party on each side."""
-    if n < 2:
-        raise PreconditionError("at least two parties required")
-
-
 def canonical_bipartitions(n: int):
     """All proper party subsets containing party 0, by size then lex order, as
     the sorted tuples that key each cut in reports and in what a state remembers."""
@@ -255,7 +289,7 @@ def _cut_table(n: int) -> tuple:
 
 def local_ranks(state: PureState) -> RankProfile:
     """Every single-party rank and every canonical bipartition Schmidt rank."""
-    require_two_parties(state.n)
+    state.profile.require_two_parties()
     singles, bipartitions = _cut_table(state.n)
     eps = rank_eps()
     return RankProfile(

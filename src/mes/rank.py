@@ -63,11 +63,7 @@ def space_rank_bounds(dims: Sequence[int]) -> RankBound:
     when 0 <= k <= 4 and k <= max(d2, d3); otherwise lower bounded by
     d1 + floor(sqrt(2k+2)) - 2 and upper bounded by d2*d3.
     """
-    prof = DimsProfile(dims)
-    if prof.n != 3:
-        raise PreconditionError(f"need three parties, got {prof.n}")
-    if not prof.is_sorted_desc():
-        raise PreconditionError(f"dims {prof.dims} must be sorted non-increasing")
+    prof = DimsProfile(dims).require_three_parties().require_sorted()
     d1, d2, d3 = prof.dims
     k, tail = prof.k, prof.tail_product
     if prof.has_mes:

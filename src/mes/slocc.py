@@ -38,26 +38,18 @@ class CatalogEntry:
     source: Optional[str] = None
 
 
-def _check_party_dims(prof: DimsProfile) -> None:
-    core.require_two_parties(prof.n)
-    if any(d < 2 for d in prof.dims):
-        raise PreconditionError(f"dimensions must all be >= 2, got {prof.dims}")
-
-
 def mes_exists(dims: Sequence[int]) -> bool:
     """Whether the space admits a (stochastic) maximum entangled state.
 
     True iff the largest dimension is at least the product of the others;
     the input order is irrelevant.
     """
-    prof = DimsProfile(dims)
-    _check_party_dims(prof)
-    return prof.has_mes
+    return DimsProfile(dims).require_nontrivial_dims().has_mes
 
 
 def is_maximal(state: PureState) -> bool:
     """SLOCC maximality: every single-party reduced operator has full rank."""
-    _check_party_dims(state.profile)
+    state.profile.require_nontrivial_dims()
     return core.is_full_local_ranks(state, core.rank_eps())
 
 
@@ -106,25 +98,12 @@ def classify_hyperplane(state: PureState) -> int:
     parties; two maximal states on the same profile are SLOCC equivalent iff
     their labels agree.
     """
-    prof = state.profile
-    if prof.n != 3:
-        raise PreconditionError(
-            f"labelled classification needs three parties, got {prof.n}; "
-            "use complement_map for the unlabelled representative"
-        )
-    if not prof.is_sorted_desc():
-        raise PreconditionError(f"dims {prof.dims} must be sorted non-increasing")
-    if prof.k != 1:
-        raise PreconditionError(f"requires d1 = d2*d3 - 1, got {prof.dims}")
+    (state.profile.require_three_parties().require_nontrivial_dims().require_sorted()
+     .require_hyperplane())
     eps = core.rank_eps()
     if not core.is_full_local_ranks(state, eps):
         raise PreconditionError("state does not have full local ranks")
     return _complement(state, 0, eps).label
-
-
-def _same_dims(a: PureState, b: PureState) -> None:
-    if a.dims != b.dims:
-        raise PreconditionError(f"dims differ: {a.dims} vs {b.dims}")
 
 
 def equivalent(a: PureState, b: PureState) -> bool:
@@ -132,10 +111,10 @@ def equivalent(a: PureState, b: PureState) -> bool:
 
     Bipartite states are equivalent iff their Schmidt ranks agree, maximal
     states on a hyperplane profile iff their classify_hyperplane labels agree
-    (hyperplane_equivalence_tuple proves a True). Every other pair raises
-    UndecidableError.
+    (hyperplane_equivalence_tuple proves a True). Pairs of one-party states
+    raise PreconditionError; every other pair raises UndecidableError.
     """
-    _same_dims(a, b)
+    a.profile.require_same(b.profile).require_two_parties()
     if a.n == 2:
         cut, eps = core.canonical_cut(2, {0}), core.rank_eps()
         return core.decide(a, cut, eps)[0] == core.decide(b, cut, eps)[0]
@@ -157,8 +136,7 @@ def incomparability_witness(
     rank(b, S2), searching all canonical bipartitions by size then lex order.
     A None result proves nothing.
     """
-    _same_dims(a, b)
-    core.require_two_parties(a.n)
+    a.profile.require_same(b.profile).require_two_parties()
     eps = core.rank_eps()
     a_wins = b_wins = None
     # one decision per state and cut, not local_ranks: the early break
@@ -183,14 +161,8 @@ def reach_from_mes(dims: Sequence[int], target: PureState) -> LocalOperatorTuple
     The columns of L1 are read off the target's pivot-vs-rest flattening, so
     the reproduction is exact up to floating-point copying.
     """
-    prof = DimsProfile(dims)
-    _check_party_dims(prof)
-    if not prof.has_mes:
-        raise PreconditionError(f"no maximum entangled state for dims {prof.dims}")
-    if not prof.is_sorted_desc():
-        raise PreconditionError(f"dims {prof.dims} must be sorted non-increasing")
-    if target.dims != prof.dims:
-        raise PreconditionError(f"target dims {target.dims} != {prof.dims}")
+    prof = (DimsProfile(dims).require_nontrivial_dims().require_sorted().require_mes()
+            .require_same(target.profile))
     d1 = prof.dims[0]
     flat = core.flattening(target, {0})  # d1 x tail_product
     l1 = np.zeros((d1, d1), dtype=complex)
@@ -210,7 +182,7 @@ def hyperplane_equivalence_tuple(
     Vh_t^T conj(Vh_s) are the inverse adjoints of the pair mapping C_s onto
     C_t; L1 is then solved from the flattenings.
     """
-    _same_dims(target, source)
+    target.profile.require_same(source.profile)
     label_t, label_s = classify_hyperplane(target), classify_hyperplane(source)
     if label_t != label_s:
         raise PreconditionError(
@@ -253,8 +225,7 @@ def finite_class_catalog(dims: Sequence[int]) -> CatalogEntry:
     Pure lookup: no classification is attempted. Profiles matching no clause
     are reported as finite=False meaning unknown, not infinite.
     """
-    prof = DimsProfile(dims)
-    _check_party_dims(prof)
+    prof = DimsProfile(dims).require_nontrivial_dims()
     sorted_dims = prof.sorted_desc
     if sorted_dims == (4, 3, 2):
         return CatalogEntry(sorted_dims, True, max_class_count=5,

@@ -302,7 +302,7 @@ def test_apply_non_finite_result_exit_2(capsys, tmp_path, bell, entry):
 
 
 # command -> how many state files it reads
-ONE_PARTY_COMMANDS = {"rank-lb": 1, "local-ranks": 1, "maximal": 1, "witness": 2}
+ONE_PARTY_COMMANDS = {"rank-lb": 1, "local-ranks": 1, "maximal": 1, "witness": 2, "equiv": 2}
 
 
 @pytest.mark.parametrize("command", ONE_PARTY_COMMANDS)
@@ -312,6 +312,14 @@ def test_one_party_state_exit_2(capsys, tmp_path, command):
     code, out, err = run(capsys, command, *[path] * ONE_PARTY_COMMANDS[command])
     assert code == 2
     assert out == "" and err == "precondition violated: at least two parties required\n"
+
+
+@pytest.mark.parametrize("dims", ["5", "5,1"])
+def test_construct_mes_refuses_as_check_mes_does(capsys, dims):
+    # a space with no party to pair or a trivial party has no MES to build
+    refusal = run(capsys, "check-mes", "--dims", dims)
+    assert refusal[0] == 2
+    assert run(capsys, "construct", "mes", "--dims", dims) == refusal
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]])

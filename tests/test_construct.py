@@ -26,7 +26,7 @@ def test_epr_local_ranks(d):
 
 
 def test_epr_rejects_small_d():
-    with pytest.raises(PreconditionError, match="EPR dimension must be >= 2"):
+    with pytest.raises(PreconditionError, match=r"dimensions must all be >= 2, got \(1, 1\)"):
         construct.epr(1)
 
 
@@ -70,7 +70,7 @@ def test_maximal_rank_d1_full_ranks_and_rank():
 def test_maximal_rank_d1_rejects_mes_profile():
     with pytest.raises(PreconditionError, match=r"requires d1 <= d2\*d3"):
         construct.maximal_rank_d1((5, 2, 2))
-    with pytest.raises(PreconditionError, match="need sorted tripartite dims"):
+    with pytest.raises(PreconditionError, match=r"dims \(2, 2, 3\) must be sorted non-increasing"):
         construct.maximal_rank_d1((2, 2, 3))
     # boundary d1 = d2*d3 is allowed
     assert core.is_full_local_ranks(construct.maximal_rank_d1((4, 2, 2)), core.rank_eps())

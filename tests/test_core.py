@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,48 @@ def test_profile_rejects_non_integer_dimensions(dims):
 def test_profile_keeps_python_and_numpy_integers():
     dims = core.DimsProfile((np.int64(3), np.uint8(2), 2)).dims
     assert dims == (3, 2, 2) and all(type(d) is int for d in dims)
+
+
+# the profile gates in the order every question applies them: party count,
+# then dimensions, then order, then deficiency; each with its message
+PROFILE_GATES = {
+    "two": (lambda d: len(d) >= 2, "at least two parties required"),
+    "three": (lambda d: len(d) == 3, "three parties required"),
+    "dims": (lambda d: min(d) >= 2, "dimensions must all be >= 2"),
+    "sorted": (lambda d: list(d) == sorted(d, reverse=True), "must be sorted non-increasing"),
+    "mes": (lambda d: max(d) ** 2 >= math.prod(d), "no maximum entangled state"),
+    "hyperplane": (lambda d: d[1] * d[2] - d[0] == 1, r"requires d1 = d2\*d3 - 1"),
+}
+# entry point -> (call on a profile, the gates it applies)
+PROFILE_QUESTIONS = {
+    "mes_exists": (slocc.mes_exists, ["two", "dims"]),
+    "finite_class_catalog": (slocc.finite_class_catalog, ["two", "dims"]),
+    "space_rank_bounds": (rank.space_rank_bounds, ["three", "sorted"]),
+    "reach_from_mes": (lambda d: slocc.reach_from_mes(d, make_state([2, 2], [1, 0, 0, 1])),
+                       ["two", "dims", "sorted", "mes"]),
+    "mes_state": (construct.mes_state, ["two", "dims", "sorted", "mes"]),
+    "maximal_rank_d1": (construct.maximal_rank_d1, ["three", "dims", "sorted"]),
+    "canonical_maximal": (lambda d: construct.canonical_maximal(d, 1),
+                          ["three", "dims", "sorted", "hyperplane"]),
+    "epr": (lambda d: construct.epr(d[0]), ["two", "dims", "sorted", "mes"]),
+}
+BAD_PROFILES = [(5,), (5, 1), (2, 3), (2, 2, 3), (4, 2, 2, 2), (1, 1, 1)]
+
+
+@pytest.mark.parametrize("question, dims", [
+    *((question, dims) for question in PROFILE_QUESTIONS if question != "epr"
+      for dims in BAD_PROFILES),
+    ("epr", (1, 1)),
+], ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else v)
+def test_each_refusal_names_the_first_gate_broken(question, dims):
+    ask, gates = PROFILE_QUESTIONS[question]
+    first = next((PROFILE_GATES[gate][1] for gate in gates
+                  if not PROFILE_GATES[gate][0](dims)), None)
+    if first is None:
+        ask(dims)  # no gate of this question refuses the profile
+        return
+    with pytest.raises(PreconditionError, match=first):
+        ask(dims)
 
 
 def test_schmidt_rank_bell(bell):

@@ -2,6 +2,7 @@
 
 import ast
 import builtins
+from collections import Counter
 from pathlib import Path
 
 import mes
@@ -40,3 +41,15 @@ def test_each_exception_class_has_its_own_exit_code():
                  for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
                  and any(ast.unparse(base).split(".")[-1] in exceptions for base in node.bases)]
     assert elsewhere == []
+
+
+def test_each_precondition_message_is_written_once():
+    # a condition checked in two places drifts apart: each refusal is raised
+    # from one place, so no two raises share a message
+    messages = Counter(
+        ast.unparse(node.args[0])
+        for path in Path(mes.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "PreconditionError"
+        and node.args)
+    assert [message for message, count in messages.items() if count > 1] == []

@@ -49,7 +49,7 @@ def test_space_rank_bounds_mes_profile():
 
 
 def test_space_rank_bounds_validation():
-    with pytest.raises(PreconditionError, match="need three parties"):
+    with pytest.raises(PreconditionError, match="three parties required, got 2"):
         rank.space_rank_bounds((2, 2))
     with pytest.raises(PreconditionError, match="sorted non-increasing"):
         rank.space_rank_bounds((2, 2, 3))

@@ -213,7 +213,7 @@ class TestReachFromMes:
             slocc.reach_from_mes((2, 4), target)
 
     def test_profile_mismatch(self, ghz):
-        with pytest.raises(PreconditionError, match="target dims"):
+        with pytest.raises(PreconditionError, match=r"dims differ: \(4, 2, 2\) vs \(2, 2, 2\)"):
             slocc.reach_from_mes((4, 2, 2), ghz)
 
 
