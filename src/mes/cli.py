@@ -39,10 +39,6 @@ def _labelled(label: str, result, tag: str) -> tuple:
     return result, [tag], f"{label} = {result}"
 
 
-def _as_str(result, tag: str) -> tuple:
-    return result, [tag], str(result)
-
-
 def _complement(args) -> tuple:
     cc = slocc.complement_map(io.load_state(args.state), args.pivot)
     doc = io.state_to_dict(cc.complement_state)
@@ -141,6 +137,7 @@ class Command(NamedTuple):
     inputs: tuple  # attributes of the parsed arguments reported under "input"
     # parsed arguments -> (result, provenance, human text); human text None
     # means the result itself as JSON, so construct and apply print bare states
+    # and classify and rank-lb bare integers
     run: Callable
 
 
@@ -161,8 +158,8 @@ COMMANDS = {
         [STATE, _arg("--pivot", type=int, default=0)], ("state", "pivot"), _complement),
     "classify": Command(
         "hyperplane class label", [STATE], ("state",),
-        lambda a: _as_str(slocc.classify_hyperplane(io.load_state(a.state)),
-                          "hyperplane-classification")),
+        lambda a: (slocc.classify_hyperplane(io.load_state(a.state)),
+                   ["hyperplane-classification"], None)),
     "equiv": Command(
         "SLOCC equivalence where decidable", [_arg("a"), _arg("b")], ("a", "b"), _equiv),
     "witness": Command(
@@ -196,8 +193,7 @@ COMMANDS = {
     "rank-bounds": Command("space rank bound formulas", [DIMS], ("dims",), _rank_bounds),
     "rank-lb": Command(
         "flattening lower bound of a state", [STATE], ("state",),
-        lambda a: _as_str(rank.flattening_lower_bound(io.load_state(a.state)),
-                          "flattening")),
+        lambda a: (rank.flattening_lower_bound(io.load_state(a.state)), ["flattening"], None)),
     "verify-decomp": Command(
         "check a product-decomposition certificate",
         [STATE, _arg("decomposition", metavar="decomp")], ("state", "decomposition"),

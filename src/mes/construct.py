@@ -34,10 +34,9 @@ def mes_state(dims: Sequence[int]) -> PureState:
 
 def _rank_d1_pairs(dims: Sequence[int]) -> tuple:
     """Validated profile and lazy (a_i, c_i) of the terms |i, a_i, c_i>, i < d1."""
-    prof = DimsProfile(dims).require_three_parties().require_nontrivial_dims().require_sorted()
+    prof = (DimsProfile(dims).require_three_parties().require_nontrivial_dims().require_sorted()
+            .require_full_ranks())
     d1, d2, d3 = prof.dims
-    if prof.k < 0:
-        raise PreconditionError(f"requires d1 <= d2*d3, got {prof.dims}")
     c0 = lambda a: a if a < d3 else 0  # the term |a, a, c0(a)> for each a < d2
     free = ((a, c) for a in range(d2) for c in range(d3) if c != c0(a))
     return prof, chain(((a, c0(a)) for a in range(d2)), islice(free, d1 - d2))
@@ -73,7 +72,7 @@ def augment_to_full_ranks(state: PureState, seed: int = 0) -> PureState:
     supports recovers the input, so no bipartition rank decreases. Factors are
     redrawn at random (seeded) in the unlikely event a rank fails to grow.
     """
-    state.profile.require_three_parties()
+    state.profile.require_three_parties().require_full_ranks()
     eps = core.rank_eps()
     singles = [core.canonical_cut(3, {i}) for i in range(3)]
     rng = np.random.default_rng(seed)
@@ -122,8 +121,7 @@ def canonical_maximal(dims: Sequence[int], r: int) -> PureState:
     orthocomplement, inside d2 x d3, of sum_{j<r} |jj>. Its complement state
     has Schmidt rank r across d2 : d3.
     """
-    prof = (DimsProfile(dims).require_three_parties().require_nontrivial_dims()
-            .require_sorted().require_hyperplane())
+    prof = DimsProfile(dims).require_hyperplane()
     _, d2, d3 = prof.dims
     if not 1 <= r <= min(d2, d3):
         raise PreconditionError(f"class index {r} outside 1..{min(d2, d3)}")

@@ -122,7 +122,17 @@ class DimsProfile:
             raise PreconditionError(f"no maximum entangled state for dims {self.dims}")
         return self
 
+    def require_full_ranks(self) -> DimsProfile:
+        """No dimension above the product of the others (deficiency >= 0), so
+        some state on the profile has full local ranks."""
+        if self.deficiency < 0:
+            raise PreconditionError(
+                f"no state on dims {self.dims} has full local ranks: "
+                f"the largest dimension exceeds the product of the others")
+        return self
+
     def require_hyperplane(self) -> DimsProfile:
+        self.require_three_parties().require_nontrivial_dims().require_sorted()
         if self.k != 1:
             raise PreconditionError(f"requires d1 = d2*d3 - 1, got {self.dims}")
         return self

@@ -98,12 +98,15 @@ def classify_hyperplane(state: PureState) -> int:
     parties; two maximal states on the same profile are SLOCC equivalent iff
     their labels agree.
     """
-    (state.profile.require_three_parties().require_nontrivial_dims().require_sorted()
-     .require_hyperplane())
-    eps = core.rank_eps()
+    state.profile.require_hyperplane()
+    return _hyperplane(state, core.rank_eps()).label
+
+
+def _hyperplane(state: PureState, eps: float) -> ComplementClass:
+    """Pivot-0 complement class, labelled, of a hyperplane state with full local ranks."""
     if not core.is_full_local_ranks(state, eps):
         raise PreconditionError("state does not have full local ranks")
-    return _complement(state, 0, eps).label
+    return _complement(state, 0, eps)
 
 
 def equivalent(a: PureState, b: PureState) -> bool:
@@ -119,7 +122,9 @@ def equivalent(a: PureState, b: PureState) -> bool:
         cut, eps = core.canonical_cut(2, {0}), core.rank_eps()
         return core.decide(a, cut, eps)[0] == core.decide(b, cut, eps)[0]
     try:
-        return classify_hyperplane(a) == classify_hyperplane(b)
+        a.profile.require_hyperplane()
+        eps = core.rank_eps()
+        return _hyperplane(a, eps).label == _hyperplane(b, eps).label
     except PreconditionError as exc:
         raise UndecidableError(
             f"equivalence undecidable outside bipartite and maximal "
@@ -182,15 +187,17 @@ def hyperplane_equivalence_tuple(
     Vh_t^T conj(Vh_s) are the inverse adjoints of the pair mapping C_s onto
     C_t; L1 is then solved from the flattenings.
     """
-    target.profile.require_same(source.profile)
-    label_t, label_s = classify_hyperplane(target), classify_hyperplane(source)
+    target.profile.require_same(source.profile).require_hyperplane()
+    eps = core.rank_eps()
+    comp_t, comp_s = _hyperplane(target, eps), _hyperplane(source, eps)
+    label_t, label_s = comp_t.label, comp_s.label
     if label_t != label_s:
         raise PreconditionError(
             f"class labels differ: {label_t} vs {label_s}; states are inequivalent"
         )
-    # both complement states are 1 x d2 x d3, remembered by classify_hyperplane
-    u_t, sv_t, vh_t = np.linalg.svd(complement_map(target, 0).complement_state.tensor()[0])
-    u_s, sv_s, vh_s = np.linalg.svd(complement_map(source, 0).complement_state.tensor()[0])
+    # both complement states are 1 x d2 x d3
+    u_t, sv_t, vh_t = np.linalg.svd(comp_t.complement_state.tensor()[0])
+    u_s, sv_s, vh_s = np.linalg.svd(comp_s.complement_state.tensor()[0])
     ratio = np.ones(target.dims[1])
     ratio[:label_t] = sv_s[:label_t] / sv_t[:label_t]
     l2 = (u_t * ratio) @ u_s.conj().T
@@ -207,15 +214,11 @@ def hyperplane_equivalence_tuple(
 
 
 def _corollary_family_match(sorted_dims: tuple) -> Optional[str]:
-    """Match against the finite-class families with d_n = 2."""
+    """Match against the finite-class families (2b - 2, b, 2) and (2b - 3, b, 2)."""
     if len(sorted_dims) == 3:
         a, b, c = sorted_dims
-        if c == 2 and a in (2 * b - 2, 2 * b - 3, 3 * b - 2):
+        if c == 2 and a in (2 * b - 2, 2 * b - 3):
             return f"finite-family ({a},{b},2)"
-    if len(sorted_dims) == 4:
-        a, b, c, d = sorted_dims
-        if d == 2 and a == 2 * b * c - 1 and 2 <= min(b, c) <= 3:
-            return f"finite-family ({a},{b},{c},2)"
     return None
 
 

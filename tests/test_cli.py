@@ -349,6 +349,14 @@ def test_unallocatable_rank_d1_profile_fails_fast():
     assert proc.stderr.startswith("input error: ") and "array" in proc.stderr
 
 
+def test_augment_refuses_a_profile_without_full_rank_states(capsys, tmp_path):
+    path = str(tmp_path / "mes.json")
+    assert run(capsys, "construct", "mes", "--dims", "5,2,2", "-o", path)[0] == 0
+    assert run(capsys, "construct", "augment", "--state", path) == (
+        2, "", "precondition violated: no state on dims (5, 2, 2) has full local ranks: "
+        "the largest dimension exceeds the product of the others\n")
+
+
 def test_seed_is_an_option_of_construct_only(capsys, tmp_path):
     path = write_state(tmp_path, "product.json", core.make_state([2, 2, 2], [1] + [0] * 7))
     assert run(capsys, "construct", "augment", "--state", path, "--seed", "3")[0] == 0

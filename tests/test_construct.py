@@ -68,7 +68,7 @@ def test_maximal_rank_d1_full_ranks_and_rank():
 
 
 def test_maximal_rank_d1_rejects_mes_profile():
-    with pytest.raises(PreconditionError, match=r"requires d1 <= d2\*d3"):
+    with pytest.raises(PreconditionError, match=r"no state on dims \(5, 2, 2\) has full local"):
         construct.maximal_rank_d1((5, 2, 2))
     with pytest.raises(PreconditionError, match=r"dims \(2, 2, 3\) must be sorted non-increasing"):
         construct.maximal_rank_d1((2, 2, 3))

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -84,6 +85,7 @@ PROFILE_GATES = {
     "sorted": (lambda d: list(d) == sorted(d, reverse=True), "must be sorted non-increasing"),
     "mes": (lambda d: max(d) ** 2 >= math.prod(d), "no maximum entangled state"),
     "hyperplane": (lambda d: d[1] * d[2] - d[0] == 1, r"requires d1 = d2\*d3 - 1"),
+    "full-ranks": (lambda d: max(d) ** 2 <= math.prod(d), "has full local ranks"),
 }
 # entry point -> (call on a profile, the gates it applies)
 PROFILE_QUESTIONS = {
@@ -93,12 +95,15 @@ PROFILE_QUESTIONS = {
     "reach_from_mes": (lambda d: slocc.reach_from_mes(d, make_state([2, 2], [1, 0, 0, 1])),
                        ["two", "dims", "sorted", "mes"]),
     "mes_state": (construct.mes_state, ["two", "dims", "sorted", "mes"]),
-    "maximal_rank_d1": (construct.maximal_rank_d1, ["three", "dims", "sorted"]),
+    "maximal_rank_d1": (construct.maximal_rank_d1, ["three", "dims", "sorted", "full-ranks"]),
     "canonical_maximal": (lambda d: construct.canonical_maximal(d, 1),
                           ["three", "dims", "sorted", "hyperplane"]),
     "epr": (lambda d: construct.epr(d[0]), ["two", "dims", "sorted", "mes"]),
+    "augment_to_full_ranks": (
+        lambda d: construct.augment_to_full_ranks(random_state(d, np.random.default_rng(0))),
+        ["three", "full-ranks"]),
 }
-BAD_PROFILES = [(5,), (5, 1), (2, 3), (2, 2, 3), (4, 2, 2, 2), (1, 1, 1)]
+BAD_PROFILES = [(5,), (5, 1), (2, 3), (2, 2, 3), (4, 2, 2, 2), (1, 1, 1), (2, 5, 2)]
 
 
 @pytest.mark.parametrize("question, dims", [
@@ -330,6 +335,17 @@ def test_augmentation_finds_each_support_once_per_step(svd_calls):
     assert len(svd_calls) == 12
 
 
+@pytest.mark.parametrize("dims", [(5, 2, 2), (9, 2, 2), (3, 2, 1), (2, 5, 2)])
+def test_augmentation_refuses_a_profile_without_full_rank_states(svd_calls, dims):
+    # a party larger than the product of the others cannot reach full rank:
+    # the profile says so before any rank is decided
+    state = random_state(dims, np.random.default_rng(2))
+    with pytest.raises(PreconditionError,
+                       match=rf"no state on dims \({', '.join(map(str, dims))}\) has full"):
+        construct.augment_to_full_ranks(state)
+    assert svd_calls == []
+
+
 def test_complement_map_decides_pivot_rank_once(svd_calls):
     # one SVD of the pivot flattening, one for the label
     state = construct.canonical_maximal((5, 3, 2), 1)
@@ -453,9 +469,9 @@ def _fresh(dims):
     return random_state(dims, np.random.default_rng(1))
 
 
-# each public question on fresh states, and how often it reads MES_RANK_EPS:
-# once per question, and once per part of a question made of parts
-@pytest.mark.parametrize("ask, inputs, reads", [
+# each public function of a state on fresh inputs, and how often it reads
+# MES_RANK_EPS: once per question, after its gates, and never outside one
+CUTOFF_READS = [
     (schmidt_rank, lambda: (_fresh((2, 3, 2)), {1}), 1),
     (local_ranks, lambda: (_fresh((2, 3, 2)),), 1),
     (slocc.is_maximal, lambda: (construct.canonical_maximal((3, 2, 2), 1),), 1),
@@ -467,12 +483,42 @@ def _fresh(dims):
     (construct.canonical_maximal, lambda: ((5, 3, 2), 2), 1),
     (construct.augment_to_full_ranks,
      lambda: (make_state([3, 2, 2], [1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0]),), 1),
-    (slocc.equivalent, _hyperplane_pair, 2),
-    (slocc.hyperplane_equivalence_tuple, _hyperplane_pair, 4),
-], ids=lambda p: getattr(p, "__name__", None))
+    (slocc.equivalent, _hyperplane_pair, 1),
+    (slocc.hyperplane_equivalence_tuple, _hyperplane_pair, 1),
+    (core.flattening, lambda: (_fresh((2, 3, 2)), {1}), 0),
+    (apply_local, lambda: (_fresh((2, 3, 2)), identity_tuple((2, 3, 2))), 0),
+    (group_parties, lambda: (_fresh((2, 3, 2)), [(0, 2), (1,)]), 0),
+    (slocc.reach_from_mes, lambda: ((4, 2, 2), _fresh((4, 2, 2))), 0),
+    (rank.verify_decomposition,
+     lambda: (construct.matmul_tensor(2), rank.strassen_decomposition()), 0),
+    (rank.certificate_bound,
+     lambda: (construct.matmul_tensor(2), rank.strassen_decomposition()), 1),
+]
+
+
+@pytest.mark.parametrize("ask, inputs, reads", CUTOFF_READS,
+                         ids=lambda p: getattr(p, "__name__", None))
 def test_each_question_reads_the_cutoff_once(monkeypatch, ask, inputs, reads):
     args = inputs()
     rank_eps, calls = core.rank_eps, []
     monkeypatch.setattr(core, "rank_eps", lambda: calls.append(1) or rank_eps())
     ask(*args)
     assert len(calls) == reads
+
+
+def test_every_function_of_a_state_has_its_cutoff_reads_pinned():
+    # a function that takes a state and no cutoff reads the cutoff itself, if
+    # at all; one missing from CUTOFF_READS could read it twice unnoticed
+    def takes_a_state_not_a_cutoff(fn):
+        params = inspect.signature(fn).parameters
+        return "eps" not in params and any(
+            p.annotation in ("PureState", core.PureState) for p in params.values())
+
+    unpinned = {
+        f"{module.__name__}.{name}"
+        for module in (core, slocc, rank, construct)
+        for name, fn in inspect.getmembers(module, inspect.isfunction)
+        if fn.__module__ == module.__name__ and not name.startswith("_")
+        and takes_a_state_not_a_cutoff(fn)
+    } - {f"{ask.__module__}.{ask.__name__}" for ask, _, _ in CUTOFF_READS}
+    assert unpinned == set()

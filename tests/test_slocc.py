@@ -262,3 +262,20 @@ class TestFiniteClassCatalog:
     def test_trivial_party(self):
         with pytest.raises(PreconditionError, match="dimensions must all be >= 2"):
             slocc.finite_class_catalog((2, 2, 1))
+
+    # one profile per clause that can answer, with everything the entry says
+    @pytest.mark.parametrize("dims, finite, max_count, total_count, source", [
+        ((4, 3, 2), True, 5, None, "enumerated 4x3x2 maximal classes"),
+        ((3, 2, 2), True, 2, 8, "3x2x2 enumeration"),
+        ((4, 2, 2), True, 1, None, "maximum entangled state"),
+        ((10, 4, 2), True, 1, None, "maximum entangled state"),
+        ((5, 3, 2), True, 2, None, "hyperplane class count"),
+        ((7, 2, 2, 2), True, None, None, "hyperplane correspondence"),
+        ((6, 4, 2), True, None, None, "finite-family (6,4,2)"),
+        ((5, 4, 2), True, None, None, "finite-family (5,4,2)"),
+        ((2, 2, 2), False, None, None, None),
+    ])
+    def test_provenance(self, dims, finite, max_count, total_count, source):
+        entry = slocc.finite_class_catalog(dims)
+        assert (entry.finite, entry.max_class_count, entry.total_class_count, entry.source) == (
+            finite, max_count, total_count, source)
