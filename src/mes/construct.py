@@ -86,7 +86,7 @@ def augment_to_full_ranks(state: PureState, seed: int = 0) -> PureState:
         # once: the orthocomplement of its support if deficient, else its
         # left singular vectors
         bases = [
-            core.orthocomplement_basis(core.flattening(current, {i}).T, eps) if i in deficient
+            core.orthocomplement_basis(core.flattening(current, {i}).T, ranks[i]) if i in deficient
             else np.linalg.svd(core.flattening(current, {i}), full_matrices=False)[0]
             for i in range(3)
         ]
@@ -127,7 +127,7 @@ def canonical_maximal(dims: Sequence[int], r: int) -> PureState:
         raise PreconditionError(f"class index {r} outside 1..{min(d2, d3)}")
     omega = np.zeros(prof.tail_product, dtype=complex)
     omega[np.arange(r) * d3 + np.arange(r)] = 1.0
-    basis = core.orthocomplement_basis(omega, core.rank_eps())  # (d2*d3, d1) orthonormal columns
+    basis = core.orthocomplement_basis(omega, 1)  # (d2*d3, d1) orthonormal columns
     amps = basis.T.reshape(-1)
     return PureState(prof, amps)
 

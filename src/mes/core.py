@@ -228,14 +228,11 @@ def make_state(dims: Sequence[int], amplitudes: Sequence[complex]) -> PureState:
 
 
 def numerical_rank(svals: np.ndarray, eps: float) -> int:
-    """Number of singular values (sorted descending) above eps times the
-    largest; 0 for an empty array. Every rank decision in mes goes through
-    here, with the cutoff its public entry point read once (see rank_eps).
+    """Number of singular values (sorted descending, at least one) above eps
+    times the largest: the cutoff rule of decide, the only rank decision in mes.
 
     Raises UndecidableError when the largest is not finite (the SVD overflowed).
     """
-    if svals.size == 0:
-        return 0
     if not math.isfinite(svals[0]):
         raise UndecidableError(f"largest singular value is {svals[0]}: the rank is undecidable")
     return int(np.count_nonzero(svals > eps * svals[0]))
@@ -269,7 +266,7 @@ def canonical_cut(n: int, subset: Iterable[int]) -> tuple:
 
 def decide(state: PureState, cut: tuple, eps: float) -> tuple:
     """(rank under eps, singular values) of a canonical_cut key; decided once per
-    state, cut and cutoff. Every rank decision on a cut goes through here."""
+    state, cut and cutoff. Every rank decision in mes goes through here."""
     return state.remember(cut, eps, _cut_rank, state, cut, eps)
 
 
@@ -354,12 +351,13 @@ def group_parties(state: PureState, groups: Sequence[Sequence[int]]) -> PureStat
     return PureState(DimsProfile(new_dims), tens.reshape(-1))
 
 
-def orthocomplement_basis(rows: np.ndarray, eps: float) -> np.ndarray:
+def orthocomplement_basis(rows: np.ndarray, rank: int) -> np.ndarray:
     """Orthonormal basis (columns) of the Hermitian orthocomplement of the rows.
 
-    Returns every x with <row_i|x> = 0 for all i, via SVD of conj(rows) and its rank under eps.
+    Returns every x with <row_i|x> = 0 for all i, via SVD of conj(rows), whose
+    rank the caller has decided (see decide): the basis decides nothing.
     """
     mat = np.atleast_2d(np.asarray(rows, dtype=complex))
-    _, svals, vh = np.linalg.svd(np.conj(mat), full_matrices=True)
-    return vh[numerical_rank(svals, eps):].conj().T
+    vh = np.linalg.svd(np.conj(mat), full_matrices=True)[2]
+    return vh[rank:].conj().T
 

@@ -76,13 +76,12 @@ def _complement(state: PureState, pivot: int, eps: float) -> ComplementClass:
 
 
 def _complement_class(state: PureState, pivot: int, eps: float) -> ComplementClass:
+    rank = core.decide(state, core.canonical_cut(state.n, {pivot}), eps)[0]
+    if rank < state.dims[pivot]:
+        raise PreconditionError(f"pivot local rank {rank} < dimension {state.dims[pivot]}")
     flat = core.flattening(state, {pivot})  # d_pivot x product of the rest
-    perp = core.orthocomplement_basis(flat, eps)
+    perp = core.orthocomplement_basis(flat, rank)
     k = flat.shape[1] - flat.shape[0]
-    if perp.shape[1] != k:
-        raise PreconditionError(
-            f"pivot local rank {perp.shape[0] - perp.shape[1]} < dimension {state.dims[pivot]}"
-        )
     rest_dims = state.dims[:pivot] + state.dims[pivot + 1:]
     comp = PureState(DimsProfile((k,) + rest_dims), perp.T.reshape(-1))
     label = None

@@ -1,6 +1,7 @@
 """Random states and operator tuples for tests, and support projectors; every
 random draw takes an explicit numpy Generator."""
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -64,6 +65,27 @@ def random_singular_tuple(
     return LocalOperatorTuple(tuple(ops))
 
 
+def straddling_states(
+    dims: Sequence[int], party: int, svals: Sequence[float], count: int,
+    rng: np.random.Generator,
+) -> list:
+    """States on dims whose party has singular values svals then t: for each
+    of count draws of random unitaries, t takes 61 ulp steps across the
+    default cutoff, so the rounding of an SVD decides which side t lands on."""
+    d = dims[party]
+    rest = math.prod(dims) // d
+    others = tuple(dims[:party]) + tuple(dims[party + 1:])
+    edge = core.DEFAULT_RANK_EPS
+    states = []
+    for _ in range(count):
+        u, v = (np.linalg.qr(_random_complex(rng, n, n))[0] for n in (d, rest))
+        for step in range(-30, 31):
+            m = (u * np.array([*svals, edge + step * np.spacing(edge)])) @ v[:d]
+            tens = np.moveaxis(m.reshape((d,) + others), 0, party)
+            states.append(PureState(DimsProfile(dims), tens.reshape(-1)))
+    return states
+
+
 def random_state(dims: Sequence[int], rng: np.random.Generator) -> PureState:
     prof = DimsProfile(dims)
     amps = rng.standard_normal(prof.total_dim) + 1j * rng.standard_normal(
@@ -76,6 +98,7 @@ def support_projectors(state: PureState) -> LocalOperatorTuple:
     """Per-party orthogonal projectors onto the state's local supports."""
     ops = []
     for i in range(state.n):
-        perp = core.orthocomplement_basis(core.flattening(state, {i}).T, core.rank_eps())
+        rank = core.schmidt_rank(state, {i})[0]
+        perp = core.orthocomplement_basis(core.flattening(state, {i}).T, rank)
         ops.append(np.eye(state.dims[i]) - perp @ perp.conj().T)
     return LocalOperatorTuple(tuple(ops))

@@ -226,6 +226,29 @@ def test_malformed_ops_and_decomposition_exit_1(capsys, tmp_path, bell, command,
     assert out == "" and err.startswith("input error") and named in err
 
 
+BELL = {"dims": [2, 2], "amps": BELL_AMPS}
+E0 = [[1, 0], [0, 0]]
+# (command, state document, second document or None, the refusal): inputs
+# that parse but that no question can take
+REFUSED_INPUTS = [
+    ("maximal", {"dims": [], "amps": []}, None, "profile needs at least one party"),
+    ("apply", BELL, {"ops": [IDENTITY]}, "1 operators for 2 parties"),
+    ("verify-decomp", BELL, {"terms": [[E0]]}, "term 0 has 1 factors for 2 parties"),
+    ("verify-decomp", BELL, {"terms": [[[[0, 0], [0, 0]], E0]]}, "term 0 contains a zero factor"),
+]
+
+
+@pytest.mark.parametrize("command, state, doc, refusal", REFUSED_INPUTS,
+                         ids=[f"{case[0]}-{i}" for i, case in enumerate(REFUSED_INPUTS)])
+def test_refused_input_exit_2(capsys, tmp_path, command, state, doc, refusal):
+    paths = []
+    for name, content in (("state.json", state), ("doc.json", doc)):
+        if content is not None:
+            (tmp_path / name).write_text(json.dumps(content))
+            paths.append(str(tmp_path / name))
+    assert run(capsys, command, *paths) == (2, "", f"precondition violated: {refusal}\n")
+
+
 def test_non_finite_amplitude_exit_2(capsys, tmp_path):
     path = tmp_path / "nan.json"
     path.write_text('{"dims": [2, 2], "amps": [[1, 0], [0, 0], [0, 0], [NaN, 0]]}')

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _helpers import random_state, support_projectors
+from _helpers import random_state, straddling_states, support_projectors
 from mes import construct, core, rank, slocc
 from mes.errors import PreconditionError
 
@@ -96,6 +96,15 @@ def test_augment_round_trip():
     projected = core.apply_local(out, support_projectors(s))
     scale = projected.amplitudes[0] / s.amplitudes[0]
     assert np.allclose(projected.amplitudes, scale * s.amplitudes)
+
+
+def test_augment_reaches_full_ranks_at_the_cutoff(monkeypatch):
+    # party 0 has singular values 1, 0.7 and t, t within ulps of the cutoff:
+    # whichever side the rank decision falls on, augmentation completes it
+    monkeypatch.delenv("MES_RANK_EPS", raising=False)
+    for s in straddling_states((3, 2, 2), 0, [1.0, 0.7], 24, np.random.default_rng(0)):
+        out = construct.augment_to_full_ranks(s)
+        assert core.local_ranks(out).local_ranks == s.dims
 
 
 def test_augment_never_decreases_bipartition_ranks():

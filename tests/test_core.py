@@ -233,6 +233,15 @@ def test_group_parties_invalid_partition(ghz):
         group_parties(ghz, ((0, 1), (1, 2)))
 
 
+@pytest.mark.parametrize("refused, refusal", [
+    (lambda: group_parties(make_state([2, 2, 2], [1] + [0] * 7), [(0, 1, 2), ()]), "empty group"),
+    (lambda: LocalOperatorTuple(([1, 2],)), "operator 0 is not a matrix"),
+], ids=["empty-group", "vector-operator"])
+def test_malformed_arguments_are_refused(refused, refusal):
+    with pytest.raises(PreconditionError, match=refusal):
+        refused()
+
+
 def test_rank_eps_env_override(monkeypatch):
     monkeypatch.setenv("MES_RANK_EPS", "0.5")
     s = make_state([2, 2], [1, 0, 0, 1e-3])
@@ -288,7 +297,7 @@ def test_cut_and_complement_share_singular_values(svd_calls):
 
 def test_orthocomplement_basis():
     rows = np.array([[1, 0, 0, 0], [0, 1, 1j, 0]], dtype=complex)
-    comp = core.orthocomplement_basis(rows, core.rank_eps())
+    comp = core.orthocomplement_basis(rows, 2)
     assert comp.shape == (4, 2)
     assert np.allclose(np.conj(rows) @ comp, 0)
     assert np.allclose(comp.conj().T @ comp, np.eye(2))
@@ -306,14 +315,11 @@ def test_every_rank_decision_shares_the_cutoff(monkeypatch, eps, rank):
             for _ in range(2))
     m = u @ np.diag([1.0, 0.5, 1e-7]) @ v
     state = make_state([3, 3], m)
-    assert schmidt_rank(state, {0})[0] == rank
-    assert core.orthocomplement_basis(m, core.rank_eps()).shape[1] == 3 - rank
+    decided = schmidt_rank(state, {0})[0]
+    assert decided == rank
+    assert core.orthocomplement_basis(m, decided).shape[1] == 3 - rank
     projector = support_projectors(state).ops[0]
     assert np.trace(projector).real == pytest.approx(rank)
-
-
-def test_numerical_rank_of_nothing_is_zero():
-    assert core.numerical_rank(np.zeros(0), core.rank_eps()) == 0
 
 
 def test_hyperplane_equivalence_computes_each_complement_once(svd_calls):
@@ -347,11 +353,12 @@ def test_augmentation_refuses_a_profile_without_full_rank_states(svd_calls, dims
 
 
 def test_complement_map_decides_pivot_rank_once(svd_calls):
-    # one SVD of the pivot flattening, one for the label
+    # one SVD decides the pivot cut (kept for every later question), one
+    # gives the basis of its orthocomplement, one decides the label
     state = construct.canonical_maximal((5, 3, 2), 1)
     svd_calls.clear()
     assert slocc.complement_map(state, 0).label == 1
-    assert len(svd_calls) == 2
+    assert len(svd_calls) == 3
 
 
 def test_numerical_rank_of_overflowed_singular_values_is_undecidable():
@@ -480,7 +487,7 @@ CUTOFF_READS = [
     (slocc.equivalent, lambda: (construct.epr(3), _fresh((3, 3))), 1),
     (slocc.incomparability_witness, lambda: construct.case1_pair(2), 1),
     (rank.flattening_lower_bound, lambda: (_fresh((2, 2, 3)),), 1),
-    (construct.canonical_maximal, lambda: ((5, 3, 2), 2), 1),
+    (construct.canonical_maximal, lambda: ((5, 3, 2), 2), 0),
     (construct.augment_to_full_ranks,
      lambda: (make_state([3, 2, 2], [1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0]),), 1),
     (slocc.equivalent, _hyperplane_pair, 1),

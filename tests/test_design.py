@@ -53,3 +53,17 @@ def test_each_precondition_message_is_written_once():
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "PreconditionError"
         and node.args)
     assert [message for message, count in messages.items() if count > 1] == []
+
+
+def test_only_decide_turns_singular_values_into_a_rank():
+    # two SVDs of one matrix round differently near the cutoff, so a second
+    # decision could contradict the first: numerical_rank, the cutoff rule,
+    # is used in one place, the cut decision that core.decide remembers
+    uses = []
+    for path in sorted(Path(mes.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        uses += [f"{path.name}:" + ".".join(f.name for f in functions if node in ast.walk(f))
+                 for node in ast.walk(tree)
+                 if getattr(node, "id", getattr(node, "attr", None)) == "numerical_rank"]
+    assert uses == ["core.py:_cut_rank"]

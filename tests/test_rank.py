@@ -89,6 +89,7 @@ def test_strassen_any_deleted_term_fails(drop):
     terms = rank.strassen_decomposition().terms
     reduced = ProductDecomposition(terms[:drop] + terms[drop + 1:])
     assert not rank.verify_decomposition(mm, reduced)
+    assert rank.certificate_bound(mm, reduced) is None
 
 
 def test_verify_rejects_wrong_state(ghz):

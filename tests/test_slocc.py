@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _helpers import random_invertible_tuple
+from _helpers import random_invertible_tuple, straddling_states
 from mes import construct, core, slocc
 from mes.errors import PreconditionError, UndecidableError
 
@@ -76,6 +76,20 @@ class TestComplementMap:
         s = core.make_state([3, 2, 2], [1] + [0] * 11)
         with pytest.raises(PreconditionError, match="pivot local rank"):
             slocc.complement_map(s, 0)
+
+    def test_pivot_gate_agrees_with_the_pivot_rank(self, monkeypatch):
+        # party 1 has singular values 1 and t, t within ulps of the cutoff: the
+        # complement exists iff the pivot's decided rank is full, and a
+        # refusal names that rank
+        monkeypatch.delenv("MES_RANK_EPS", raising=False)
+        for s in straddling_states((3, 2, 2), 1, [1.0], 24, np.random.default_rng(0)):
+            rank = core.schmidt_rank(s, {1})[0]
+            if rank == s.dims[1]:
+                slocc.complement_map(s, 1)
+            else:
+                with pytest.raises(PreconditionError,
+                                   match=f"pivot local rank {rank} < dimension 2"):
+                    slocc.complement_map(s, 1)
 
     def test_nonpositive_k(self):
         s = construct.mes_state((4, 2, 2))
