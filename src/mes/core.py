@@ -147,9 +147,11 @@ class DimsProfile:
 class PureState:
     """Unnormalized pure state: profile plus flat amplitude vector.
 
-    The state owns a read-only copy of its amplitudes, so what it remembers
-    (see remember) cannot go stale. Equality and hashing are by identity:
-    amplitudes are arrays.
+    Every state is checked here and nowhere else: PreconditionError unless
+    there is one amplitude per basis vector of the profile, every amplitude is
+    finite and not all are zero. The state owns a read-only copy of its
+    amplitudes, so what it remembers (see remember) cannot go stale. Equality
+    and hashing are by identity: amplitudes are arrays.
     """
 
     profile: DimsProfile
@@ -158,6 +160,13 @@ class PureState:
 
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
+        if amps.size != self.profile.total_dim:
+            raise PreconditionError(f"expected {self.profile.total_dim} amplitudes "
+                                    f"for dims {self.dims}, got {amps.size}")
+        if not np.isfinite(amps).all():
+            raise PreconditionError("amplitudes must be finite, got NaN or infinity")
+        if not np.any(amps):
+            raise PreconditionError("all amplitudes are zero")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -212,19 +221,8 @@ class RankProfile:
 
 
 def make_state(dims: Sequence[int], amplitudes: Sequence[complex]) -> PureState:
-    """Validated state constructor; rejects length mismatch, NaN or infinite
-    amplitudes and the zero vector."""
-    prof = DimsProfile(dims)
-    amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    if amps.size != prof.total_dim:
-        raise PreconditionError(
-            f"expected {prof.total_dim} amplitudes for dims {prof.dims}, got {amps.size}"
-        )
-    if not np.isfinite(amps).all():
-        raise PreconditionError("amplitudes must be finite, got NaN or infinity")
-    if not np.any(amps):
-        raise PreconditionError("all amplitudes are zero")
-    return PureState(prof, amps)
+    """The state with these amplitudes on the profile dims (see PureState)."""
+    return PureState(DimsProfile(dims), amplitudes)
 
 
 def numerical_rank(svals: np.ndarray, eps: float) -> int:
@@ -322,13 +320,9 @@ def apply_local(state: PureState, tup: LocalOperatorTuple) -> PureState:
                 f"operator {i} has {op.shape[1]} columns, party dimension is {state.dims[i]}"
             )
     tens = state.tensor()
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+    with np.errstate(over="ignore", invalid="ignore"):  # PureState refuses the result
         for i, op in enumerate(tup.ops):
             tens = np.moveaxis(np.tensordot(op, tens, axes=(1, i)), 0, i)
-    if not np.isfinite(tens).all():
-        raise PreconditionError("operator tuple gives NaN or infinite amplitudes")
-    if not np.any(tens):
-        raise PreconditionError("operator tuple annihilates the state")
     out_dims = tuple(op.shape[0] for op in tup.ops)
     return PureState(DimsProfile(out_dims), tens.reshape(-1))
 

@@ -9,7 +9,6 @@ All entries row-major; state amplitudes use the party-0-slowest layout.
 from __future__ import annotations
 
 import json
-import operator
 from itertools import chain
 
 import numpy as np
@@ -24,13 +23,15 @@ def _pairs(arr: np.ndarray) -> list:
 
 
 def _complex(pairs) -> np.ndarray:
-    """Complex vector from [[re, im], ...]; ValueError unless all are number pairs."""
+    """Complex vector from [[re, im], ...]; ValueError unless all are number pairs,
+    each part a JSON number (int or float, not a bool or a string)."""
     try:
         if set(map(len, pairs)) - {2}:
             raise ValueError("complex entries must be [re, im] pairs")
-        # operator.pos rejects strings and other non-numbers that numpy would convert
-        flat = np.fromiter(map(operator.pos, chain.from_iterable(pairs)),
-                           dtype=float, count=2 * len(pairs))
+        others = set(map(type, chain.from_iterable(pairs))) - {int, float}
+        if others:
+            raise TypeError("got " + ", ".join(sorted(t.__name__ for t in others)))
+        flat = np.fromiter(chain.from_iterable(pairs), dtype=float, count=2 * len(pairs))
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"complex entries must be [re, im] number pairs ({exc})")
     return flat.view(complex)
@@ -77,13 +78,17 @@ def _list_member(data, key: str) -> list:
 
 def ops_from_dict(data: dict) -> LocalOperatorTuple:
     ops = []
-    for entry in _list_member(data, "ops"):
+    for i, entry in enumerate(_list_member(data, "ops")):
         if not isinstance(entry, dict):
             raise ValueError(f"each operator must be a JSON object, got {entry!r}")
         shape = (_field(entry, "rows"), _field(entry, "cols"))
         if any(type(n) is not int or n < 1 for n in shape):
             raise ValueError(f"rows and cols must be positive integers, got {shape}")
-        ops.append(_complex(_field(entry, "entries")).reshape(shape))
+        entries = _complex(_field(entry, "entries"))
+        if entries.size != shape[0] * shape[1]:
+            raise ValueError(f"operator {i} has {entries.size} entries, "
+                             f"expected rows*cols = {shape[0] * shape[1]}")
+        ops.append(entries.reshape(shape))
     return LocalOperatorTuple(tuple(ops))
 
 

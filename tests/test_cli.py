@@ -184,6 +184,7 @@ MALFORMED_STATES = [
     ({"dims": [2, 2], "amps": [[1, 0, 0], [0], [0, 0], [1, 0]]}, "[re, im]"),
     ({"dims": [2, 2]}, "missing field 'amps'"),
     ({"amps": BELL_AMPS}, "missing field 'dims'"),
+    ({"dims": [2, 2], "amps": [[True, False], [0, 0], [0, 0], [1, 0]]}, "number pairs (got bool)"),
 ]
 
 
@@ -212,6 +213,10 @@ MALFORMED_DOCS = [
     ("apply", {"ops": [{"rows": 2, "entries": BELL_AMPS}, IDENTITY]}, "missing field 'cols'"),
     ("apply", {"operators": [IDENTITY, IDENTITY]}, "missing field 'ops'"),
     ("verify-decomp", {}, "missing field 'terms'"),
+    ("apply", {"ops": [dict(IDENTITY, entries=[[True, 0]] + BELL_AMPS[1:]), IDENTITY]},
+     "number pairs (got bool)"),
+    ("apply", {"ops": [dict(IDENTITY, entries=BELL_AMPS[:3]), IDENTITY]},
+     "operator 0 has 3 entries, expected rows*cols = 4"),
 ]
 
 
