@@ -7,7 +7,7 @@ Usage: python3 scripts/profile_survey.py [--max-dim 6]
 import argparse
 import itertools
 
-from mes import rank, slocc
+from mes import spaces
 
 
 def main():
@@ -21,12 +21,12 @@ def main():
     for dims in itertools.product(range(2, args.max_dim + 1), repeat=3):
         if not dims[0] >= dims[1] >= dims[2]:
             continue
-        exists = slocc.mes_exists(dims)
-        bound = rank.space_rank_bounds(dims)
+        exists = spaces.mes_exists(dims)
+        bound = spaces.space_rank_bounds(dims)
         rank_str = (
             str(bound.lower) if bound.exact else f"[{bound.lower},{bound.upper}]"
         )
-        entry = slocc.finite_class_catalog(dims)
+        entry = spaces.finite_class_catalog(dims)
         if entry.max_class_count is not None:
             classes = str(entry.max_class_count)
         elif entry.finite:

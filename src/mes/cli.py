@@ -17,9 +17,7 @@ import json
 import sys
 from typing import Callable, NamedTuple, Optional
 
-import numpy as np
-
-from . import construct, core, io, rank, slocc
+from . import construct, core, io, rank, slocc, spaces
 from .errors import PreconditionError, UndecidableError
 
 
@@ -61,7 +59,7 @@ def _witness(args) -> tuple:
 
 
 def _catalog(args) -> tuple:
-    entry = slocc.finite_class_catalog(args.dims)
+    entry = spaces.finite_class_catalog(args.dims)
     result = dict(vars(entry), finite="yes" if entry.finite else "unknown")
     human = (
         f"{entry.dims}: finite = {result['finite']}"
@@ -107,6 +105,8 @@ def _local_ranks(args) -> tuple:
 
 
 def _schmidt(args) -> tuple:
+    import numpy as np  # the one handler that needs numpy itself
+
     r, svals = core.schmidt_rank(io.load_state(args.state), args.subset)
     with np.errstate(over="ignore"):  # values too large to scale have no decimals
         shown = np.round(svals, 12)
@@ -116,7 +116,7 @@ def _schmidt(args) -> tuple:
 
 
 def _rank_bounds(args) -> tuple:
-    bound = rank.space_rank_bounds(args.dims)
+    bound = spaces.space_rank_bounds(args.dims)
     human = (f"rank({args.dims}) = {bound.lower}" if bound.exact
              else f"rank({args.dims}) in [{bound.lower}, {bound.upper}]")
     return dict(vars(bound)), list(bound.provenance), human
@@ -147,7 +147,7 @@ DIMS = _arg("--dims", type=_int_list, required=True)
 COMMANDS = {
     "check-mes": Command(
         "does the space admit a maximum entangled state", [DIMS], ("dims",),
-        lambda a: _labelled(f"mes_exists{a.dims}", slocc.mes_exists(a.dims),
+        lambda a: _labelled(f"mes_exists{a.dims}", spaces.mes_exists(a.dims),
                             "existence-condition")),
     "maximal": Command(
         "full-local-ranks maximality test", [STATE], ("state",),

@@ -8,8 +8,9 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from . import core
-from .core import DimsProfile, PureState
+from .core import PureState
 from .errors import PreconditionError
+from .spaces import DimsProfile
 
 
 def epr(d: int) -> PureState:
@@ -23,7 +24,7 @@ def mes_state(dims: Sequence[int]) -> PureState:
 
     decode(j) is the j-th lexicographic product basis vector of the tail
     parties, so the amplitude of |j>|j> (tail index flattened) is 1. Refuses
-    what slocc.mes_exists refuses, then unsorted profiles and those with no MES.
+    what spaces.mes_exists refuses, then unsorted profiles and those with no MES.
     """
     prof = DimsProfile(dims).require_nontrivial_dims().require_sorted().require_mes()
     tail = prof.tail_product

@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import PreconditionError, UndecidableError
+from .spaces import DimsProfile
 
 DEFAULT_RANK_EPS = 1e-9
 
@@ -38,109 +38,6 @@ def rank_eps() -> float:
     if not 0.0 < eps < 1.0:  # also false for NaN
         raise ValueError(f"MES_RANK_EPS must be a float in (0, 1), got {text!r}")
     return eps
-
-
-@dataclass(frozen=True)
-class DimsProfile:
-    """Ordered subsystem dimensions with derived quantities."""
-
-    dims: tuple
-
-    def __post_init__(self):
-        dims = tuple(self.dims)
-        if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) for d in dims):
-            raise PreconditionError(f"dimensions must be integers, got {dims}")
-        dims = tuple(int(d) for d in dims)
-        if len(dims) < 1:
-            raise PreconditionError("profile needs at least one party")
-        if any(d < 1 for d in dims):
-            raise PreconditionError(f"dimensions must be >= 1, got {dims}")
-        object.__setattr__(self, "dims", dims)
-
-    @property
-    def n(self) -> int:
-        return len(self.dims)
-
-    @property
-    def total_dim(self) -> int:
-        return math.prod(self.dims)
-
-    @property
-    def sorted_desc(self) -> tuple:
-        return tuple(sorted(self.dims, reverse=True))
-
-    @property
-    def tail_product(self) -> int:
-        """Product of all but the largest dimension (sorted profile)."""
-        return math.prod(self.sorted_desc[1:])
-
-    @property
-    def deficiency(self) -> int:
-        """tail_product minus the largest dimension; k when tripartite."""
-        return self.tail_product - self.sorted_desc[0]
-
-    @property
-    def has_mes(self) -> bool:
-        """Whether a maximum entangled state exists: deficiency <= 0."""
-        return self.deficiency <= 0
-
-    @property
-    def k(self) -> Optional[int]:
-        """Deficiency d2*d3 - d1 of a tripartite profile; k = 1 is the hyperplane."""
-        return self.deficiency if self.n == 3 else None
-
-    # The gates: each raises PreconditionError, with the only copy of its
-    # message, unless the profile meets its condition, and returns the profile.
-    # Every question checks party count, then dimensions, then order, then
-    # deficiency, so a profile that breaks two rules gets one message.
-
-    def require_two_parties(self) -> DimsProfile:
-        """At least two parties: a cut needs a party on each side."""
-        if self.n < 2:
-            raise PreconditionError("at least two parties required")
-        return self
-
-    def require_three_parties(self) -> DimsProfile:
-        if self.n != 3:
-            raise PreconditionError(f"three parties required, got {self.n}")
-        return self
-
-    def require_nontrivial_dims(self) -> DimsProfile:
-        """Two or more parties, each of dimension at least 2."""
-        self.require_two_parties()
-        if any(d < 2 for d in self.dims):
-            raise PreconditionError(f"dimensions must all be >= 2, got {self.dims}")
-        return self
-
-    def require_sorted(self) -> DimsProfile:
-        if self.dims != self.sorted_desc:
-            raise PreconditionError(f"dims {self.dims} must be sorted non-increasing")
-        return self
-
-    def require_mes(self) -> DimsProfile:
-        if not self.has_mes:
-            raise PreconditionError(f"no maximum entangled state for dims {self.dims}")
-        return self
-
-    def require_full_ranks(self) -> DimsProfile:
-        """No dimension above the product of the others (deficiency >= 0), so
-        some state on the profile has full local ranks."""
-        if self.deficiency < 0:
-            raise PreconditionError(
-                f"no state on dims {self.dims} has full local ranks: "
-                f"the largest dimension exceeds the product of the others")
-        return self
-
-    def require_hyperplane(self) -> DimsProfile:
-        self.require_three_parties().require_nontrivial_dims().require_sorted()
-        if self.k != 1:
-            raise PreconditionError(f"requires d1 = d2*d3 - 1, got {self.dims}")
-        return self
-
-    def require_same(self, other: DimsProfile) -> DimsProfile:
-        if self.dims != other.dims:
-            raise PreconditionError(f"dims differ: {self.dims} vs {other.dims}")
-        return self
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,10 +28,11 @@ def _complex(pairs) -> np.ndarray:
     try:
         if set(map(len, pairs)) - {2}:
             raise ValueError("complex entries must be [re, im] pairs")
-        others = set(map(type, chain.from_iterable(pairs))) - {int, float}
+        flat = list(chain.from_iterable(pairs))
+        others = set(map(type, flat)) - {int, float}
         if others:
             raise TypeError("got " + ", ".join(sorted(t.__name__ for t in others)))
-        flat = np.fromiter(chain.from_iterable(pairs), dtype=float, count=2 * len(pairs))
+        flat = np.array(flat, dtype=float)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"complex entries must be [re, im] number pairs ({exc})")
     return flat.view(complex)

@@ -2,33 +2,18 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import core
-from .core import DimsProfile, PureState
+from .core import PureState
 from .errors import PreconditionError
+# re-exported: mesbench's slocc-sweep calls rank.space_rank_bounds
+from .spaces import DimsProfile, RankBound, space_rank_bounds  # noqa: F401
 
 CERTIFICATE_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class RankBound:
-    """Interval [lower, upper] on tensor rank with provenance tags."""
-
-    lower: int
-    upper: int
-    exact: bool
-    provenance: tuple
-
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise ValueError(f"lower {self.lower} > upper {self.upper}")
-        if self.exact and self.lower != self.upper:
-            raise ValueError("exact bound must have lower == upper")
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,27 +39,6 @@ class ProductDecomposition:
 def flattening_lower_bound(state: PureState) -> int:
     """Max Schmidt rank over all bipartitions; a lower bound on tensor rank."""
     return max(core.local_ranks(state).bipartition_ranks.values())
-
-
-def space_rank_bounds(dims: Sequence[int]) -> RankBound:
-    """Maximum tensor rank of a sorted tripartite space, as a RankBound.
-
-    With k = d2*d3 - d1: exactly d2*d3 when k <= 0; exactly d2*d3 - ceil(k/2)
-    when 0 <= k <= 4 and k <= max(d2, d3); otherwise lower bounded by
-    d1 + floor(sqrt(2k+2)) - 2 and upper bounded by d2*d3.
-    """
-    prof = DimsProfile(dims).require_three_parties().require_sorted()
-    d1, d2, d3 = prof.dims
-    k, tail = prof.k, prof.tail_product
-    if prof.has_mes:
-        return RankBound(tail, tail, True, ("flattening",))
-    lower = max(d1, d1 + math.isqrt(2 * k + 2) - 2)
-    provenance = ["flattening", "Thm2(i)"]
-    if k <= 4 and k <= max(d2, d3):
-        value = tail - math.ceil(k / 2)
-        provenance.append("Thm2(ii)")
-        return RankBound(max(lower, value), value, True, tuple(provenance))
-    return RankBound(lower, tail, False, tuple(provenance))
 
 
 def expand_decomposition(

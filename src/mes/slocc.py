@@ -1,4 +1,4 @@
-"""SLOCC predicates, the complement map, and the finite-class catalog."""
+"""SLOCC predicates, the complement map, classification and equivalence."""
 
 from __future__ import annotations
 
@@ -8,8 +8,10 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import core
-from .core import DimsProfile, LocalOperatorTuple, PureState
+from .core import LocalOperatorTuple, PureState
 from .errors import PreconditionError, UndecidableError
+# re-exported: mesbench's slocc-sweep calls slocc.finite_class_catalog
+from .spaces import DimsProfile, finite_class_catalog  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -25,26 +27,6 @@ class ComplementClass:
     pivot: int
     k: int
     label: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    """Finiteness verdict for the maximal equivalence classes of a profile."""
-
-    dims: tuple
-    finite: bool
-    max_class_count: Optional[int] = None
-    total_class_count: Optional[int] = None
-    source: Optional[str] = None
-
-
-def mes_exists(dims: Sequence[int]) -> bool:
-    """Whether the space admits a (stochastic) maximum entangled state.
-
-    True iff the largest dimension is at least the product of the others;
-    the input order is irrelevant.
-    """
-    return DimsProfile(dims).require_nontrivial_dims().has_mes
 
 
 def is_maximal(state: PureState) -> bool:
@@ -210,47 +192,3 @@ def hyperplane_equivalence_tuple(
     # identical row spaces, so the solution is exact and invertible
     l1 = np.linalg.lstsq(flat_partial.T, flat_target.T, rcond=None)[0].T
     return LocalOperatorTuple((l1, l2, l3))
-
-
-def _corollary_family_match(sorted_dims: tuple) -> Optional[str]:
-    """Match against the finite-class families (2b - 2, b, 2) and (2b - 3, b, 2)."""
-    if len(sorted_dims) == 3:
-        a, b, c = sorted_dims
-        if c == 2 and a in (2 * b - 2, 2 * b - 3):
-            return f"finite-family ({a},{b},2)"
-    return None
-
-
-def finite_class_catalog(dims: Sequence[int]) -> CatalogEntry:
-    """Pattern-match a profile against the known finite-class results.
-
-    Pure lookup: no classification is attempted. Profiles matching no clause
-    are reported as finite=False meaning unknown, not infinite.
-    """
-    prof = DimsProfile(dims).require_nontrivial_dims()
-    sorted_dims = prof.sorted_desc
-    if sorted_dims == (4, 3, 2):
-        return CatalogEntry(sorted_dims, True, max_class_count=5,
-                            source="enumerated 4x3x2 maximal classes")
-    if sorted_dims == (3, 2, 2):
-        return CatalogEntry(sorted_dims, True, max_class_count=2,
-                            total_class_count=8, source="3x2x2 enumeration")
-    if prof.has_mes:
-        # a maximum entangled state exists and dominates every state
-        return CatalogEntry(sorted_dims, True, max_class_count=1,
-                            source="maximum entangled state")
-    # the clauses below presuppose 1 <= deficiency < tail_product/2
-    if 2 * prof.deficiency < prof.tail_product:
-        if prof.k == 1:
-            return CatalogEntry(
-                sorted_dims, True,
-                max_class_count=min(sorted_dims[1], sorted_dims[2]),
-                source="hyperplane class count",
-            )
-        if prof.deficiency == 1:
-            return CatalogEntry(sorted_dims, True,
-                                source="hyperplane correspondence")
-        family = _corollary_family_match(sorted_dims)
-        if family is not None:
-            return CatalogEntry(sorted_dims, True, source=family)
-    return CatalogEntry(sorted_dims, False, source=None)

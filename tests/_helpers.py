@@ -7,7 +7,8 @@ from typing import Sequence
 import numpy as np
 
 from mes import core
-from mes.core import DimsProfile, LocalOperatorTuple, PureState
+from mes.core import LocalOperatorTuple, PureState
+from mes.spaces import DimsProfile
 
 # Random invertible draws are rejected while sigma_min < this times sigma_max,
 # keeping rank decisions far from the cutoff.

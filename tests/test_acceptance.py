@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from _helpers import random_invertible_tuple, random_singular_tuple, random_state
-from mes import construct, core, rank, slocc
+from mes import construct, core, rank, slocc, spaces
 
 
 def report(num, name, ok):
@@ -29,7 +29,7 @@ def test_criterion_1_existence_predicate():
     ok = True
     for dims in sorted_profiles((2, 3, 4), (2, 3, 4)):
         expected = dims[0] >= math.prod(dims[1:])
-        ok = ok and slocc.mes_exists(dims) is expected
+        ok = ok and spaces.mes_exists(dims) is expected
     report(1, "existence predicate", ok)
 
 
@@ -37,7 +37,7 @@ def test_criterion_2_sufficiency_witness():
     ok = True
     rng = np.random.default_rng(0)
     for dims in sorted_profiles((2, 3, 4), (2, 3, 4)):
-        if not slocc.mes_exists(dims):
+        if not spaces.mes_exists(dims):
             continue
         mes = construct.mes_state(dims)
         for _ in range(50):
@@ -99,9 +99,9 @@ def test_criterion_5_incomparability():
 def test_criterion_6_rank_formulas():
     ok = True
     for dims, value in (((3, 2, 2), 3), ((2, 2, 2), 3), ((4, 2, 2), 4)):
-        bound = rank.space_rank_bounds(dims)
+        bound = spaces.space_rank_bounds(dims)
         ok = ok and bound.exact and bound.lower == bound.upper == value
-    bound = rank.space_rank_bounds((5, 3, 3))
+    bound = spaces.space_rank_bounds((5, 3, 3))
     ok = ok and not bound.exact and bound.lower == 6
     report(6, "space rank formulas", ok)
 
@@ -160,10 +160,10 @@ def test_criterion_9_refinement():
 
 
 def test_criterion_10_catalog_fidelity():
-    e432 = slocc.finite_class_catalog((4, 3, 2))
-    e322 = slocc.finite_class_catalog((3, 2, 2))
-    e7222 = slocc.finite_class_catalog((7, 2, 2, 2))
-    e222 = slocc.finite_class_catalog((2, 2, 2))
+    e432 = spaces.finite_class_catalog((4, 3, 2))
+    e322 = spaces.finite_class_catalog((3, 2, 2))
+    e7222 = spaces.finite_class_catalog((7, 2, 2, 2))
+    e222 = spaces.finite_class_catalog((2, 2, 2))
     ok = e432.finite and e432.max_class_count == 5
     ok = ok and e322.finite and e322.max_class_count == 2 and e322.total_class_count == 8
     ok = ok and e7222.finite

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from _helpers import identity_tuple, random_invertible_tuple, random_state, support_projectors
-from mes import construct, core, rank, slocc
+from mes import construct, core, rank, slocc, spaces
 from mes.core import (
     LocalOperatorTuple,
     apply_local,
@@ -23,7 +23,7 @@ def test_make_state_valid(bell):
 
 
 # every state is checked by PureState itself: make_state adds no check of its own
-CONSTRUCTORS = (make_state, lambda dims, amps: core.PureState(core.DimsProfile(dims), amps))
+CONSTRUCTORS = (make_state, lambda dims, amps: core.PureState(spaces.DimsProfile(dims), amps))
 
 
 def test_make_state_rejects_zero():
@@ -59,11 +59,11 @@ def test_make_state_phi2(phi2_322):
 
 
 def test_profile_derived_quantities():
-    prof = core.DimsProfile([2, 3, 5])
+    prof = spaces.DimsProfile([2, 3, 5])
     assert prof.sorted_desc == (5, 3, 2)
     assert prof.tail_product == 6
     assert prof.k == 1
-    assert core.DimsProfile([2, 2]).k is None
+    assert spaces.DimsProfile([2, 2]).k is None
 
 
 @pytest.mark.parametrize(
@@ -73,13 +73,13 @@ def test_profile_derived_quantities():
 )
 def test_profile_rejects_non_integer_dimensions(dims):
     with pytest.raises(PreconditionError, match="dimensions must be integers"):
-        core.DimsProfile(dims)
+        spaces.DimsProfile(dims)
     with pytest.raises(PreconditionError, match="dimensions must be integers"):
-        slocc.mes_exists(dims)
+        spaces.mes_exists(dims)
 
 
 def test_profile_keeps_python_and_numpy_integers():
-    dims = core.DimsProfile((np.int64(3), np.uint8(2), 2)).dims
+    dims = spaces.DimsProfile((np.int64(3), np.uint8(2), 2)).dims
     assert dims == (3, 2, 2) and all(type(d) is int for d in dims)
 
 
@@ -96,9 +96,9 @@ PROFILE_GATES = {
 }
 # entry point -> (call on a profile, the gates it applies)
 PROFILE_QUESTIONS = {
-    "mes_exists": (slocc.mes_exists, ["two", "dims"]),
-    "finite_class_catalog": (slocc.finite_class_catalog, ["two", "dims"]),
-    "space_rank_bounds": (rank.space_rank_bounds, ["three", "sorted"]),
+    "mes_exists": (spaces.mes_exists, ["two", "dims"]),
+    "finite_class_catalog": (spaces.finite_class_catalog, ["two", "dims"]),
+    "space_rank_bounds": (spaces.space_rank_bounds, ["three", "sorted"]),
     "reach_from_mes": (lambda d: slocc.reach_from_mes(d, make_state([2, 2], [1, 0, 0, 1])),
                        ["two", "dims", "sorted", "mes"]),
     "mes_state": (construct.mes_state, ["two", "dims", "sorted", "mes"]),
@@ -191,7 +191,7 @@ def test_apply_local_projector_recovers_augmented(phi1_322):
     tens = np.zeros((4, 2, 2), dtype=complex)
     tens[:3] = phi1_322.tensor()
     tens[3, 1, 0] = 1.0
-    extended = core.PureState(core.DimsProfile((4, 2, 2)), tens.reshape(-1))
+    extended = core.PureState(spaces.DimsProfile((4, 2, 2)), tens.reshape(-1))
     proj = np.zeros((3, 4), dtype=complex)
     proj[:, :3] = np.eye(3)
     out = apply_local(

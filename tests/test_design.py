@@ -2,6 +2,7 @@
 
 import ast
 import builtins
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -67,3 +68,17 @@ def test_only_decide_turns_singular_values_into_a_rank():
                  for node in ast.walk(tree)
                  if getattr(node, "id", getattr(node, "attr", None)) == "numerical_rank"]
     assert uses == ["core.py:_cut_rank"]
+
+
+def test_the_profile_layer_imports_only_the_stdlib_and_errors():
+    # mes.spaces answers questions about a space alone: numpy, or a mes module
+    # that imports it, there would make every profile command pay for numpy
+    path = Path(mes.__file__).parent / "spaces.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert {name for name in imported
+            if name.split(".")[0] not in sys.stdlib_module_names} == {".errors"}

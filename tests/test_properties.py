@@ -14,7 +14,7 @@ from _helpers import (
     random_singular_tuple,
     random_state,
 )
-from mes import construct, core, io, rank, slocc
+from mes import construct, core, io, rank, slocc, spaces
 
 SMALL_TRIPARTITE = [
     dims
@@ -92,9 +92,9 @@ def test_schmidt_rank_scale_invariant(scale):
 @settings(max_examples=50, deadline=None)
 @given(dims=st.lists(st.integers(2, 5), min_size=2, max_size=4))
 def test_mes_exists_order_invariant(dims):
-    base = slocc.mes_exists(dims)
-    assert slocc.mes_exists(list(reversed(dims))) is base
-    assert slocc.mes_exists(sorted(dims)) is base
+    base = spaces.mes_exists(dims)
+    assert spaces.mes_exists(list(reversed(dims))) is base
+    assert spaces.mes_exists(sorted(dims)) is base
 
 
 @pytest.mark.parametrize("dims", [d for d in SMALL_TRIPARTITE if d[0] <= d[1] * d[2]])
@@ -105,7 +105,7 @@ def test_maximal_rank_d1_certified(dims):
     decomp = rank.ProductDecomposition(tuple(construct.rank_d1_terms(dims)))
     bound = rank.certificate_bound(state, decomp)
     assert bound is not None and bound.exact and bound.lower == dims[0]
-    assert bound.upper <= rank.space_rank_bounds(dims).upper
+    assert bound.upper <= spaces.space_rank_bounds(dims).upper
 
 
 def test_is_maximal_invariant_under_equivalence(phi2_322):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from mes import construct, core, rank
+from mes import construct, core, rank, spaces
 from mes.errors import PreconditionError
-from mes.rank import ProductDecomposition, RankBound
+from mes.rank import ProductDecomposition
+from mes.spaces import RankBound
 
 
 def test_rank_bound_invariants():
@@ -31,28 +32,28 @@ def test_flattening_lower_bound_product_state():
     [((3, 2, 2), 3), ((2, 2, 2), 3), ((4, 2, 2), 4)],
 )
 def test_space_rank_bounds_exact(dims, value):
-    bound = rank.space_rank_bounds(dims)
+    bound = spaces.space_rank_bounds(dims)
     assert bound.exact
     assert bound.lower == bound.upper == value
 
 
 def test_space_rank_bounds_533_interval():
-    bound = rank.space_rank_bounds((5, 3, 3))
+    bound = spaces.space_rank_bounds((5, 3, 3))
     assert not bound.exact
     assert bound.lower == 6
     assert bound.upper == 9
 
 
 def test_space_rank_bounds_mes_profile():
-    bound = rank.space_rank_bounds((9, 2, 2))
+    bound = spaces.space_rank_bounds((9, 2, 2))
     assert bound.exact and bound.lower == 4
 
 
 def test_space_rank_bounds_validation():
     with pytest.raises(PreconditionError, match="three parties required, got 2"):
-        rank.space_rank_bounds((2, 2))
+        spaces.space_rank_bounds((2, 2))
     with pytest.raises(PreconditionError, match="sorted non-increasing"):
-        rank.space_rank_bounds((2, 2, 3))
+        spaces.space_rank_bounds((2, 2, 3))
 
 
 def test_verify_ghz_decomposition(ghz):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from _helpers import random_invertible_tuple, straddling_states
-from mes import construct, core, slocc
+from mes import construct, core, slocc, spaces
 from mes.errors import PreconditionError, UndecidableError
 
 
@@ -18,19 +18,19 @@ class TestMesExists:
         ],
     )
     def test_known_profiles(self, dims, expected):
-        assert slocc.mes_exists(dims) is expected
+        assert spaces.mes_exists(dims) is expected
 
     def test_order_invariant(self):
-        assert slocc.mes_exists((2, 2, 4)) is True
-        assert slocc.mes_exists((2, 4, 2)) is True
+        assert spaces.mes_exists((2, 2, 4)) is True
+        assert spaces.mes_exists((2, 4, 2)) is True
 
     def test_rejects_trivial_party(self):
         with pytest.raises(PreconditionError, match="dimensions must all be >= 2"):
-            slocc.mes_exists((2, 1))
+            spaces.mes_exists((2, 1))
 
     def test_rejects_single_party(self):
         with pytest.raises(PreconditionError, match="at least two parties required"):
-            slocc.mes_exists((5,))
+            spaces.mes_exists((5,))
 
 
 class TestIsMaximal:
@@ -221,7 +221,7 @@ class TestReachFromMes:
 
     def test_unsorted_dims_are_not_a_missing_mes(self):
         # (2, 4) admits an MES, listed largest first as (4, 2)
-        assert slocc.mes_exists((2, 4))
+        assert spaces.mes_exists((2, 4))
         target = core.make_state([2, 4], [1] + [0] * 7)
         with pytest.raises(PreconditionError, match="sorted non-increasing"):
             slocc.reach_from_mes((2, 4), target)
@@ -248,34 +248,34 @@ class TestHyperplaneEquivalenceTuple:
 
 class TestFiniteClassCatalog:
     def test_432(self):
-        entry = slocc.finite_class_catalog((4, 3, 2))
+        entry = spaces.finite_class_catalog((4, 3, 2))
         assert entry.finite and entry.max_class_count == 5
 
     def test_322(self):
-        entry = slocc.finite_class_catalog((3, 2, 2))
+        entry = spaces.finite_class_catalog((3, 2, 2))
         assert entry.finite
         assert entry.max_class_count == 2
         assert entry.total_class_count == 8
 
     def test_7222(self):
-        assert slocc.finite_class_catalog((7, 2, 2, 2)).finite
+        assert spaces.finite_class_catalog((7, 2, 2, 2)).finite
 
     def test_222_unknown(self):
-        entry = slocc.finite_class_catalog((2, 2, 2))
+        entry = spaces.finite_class_catalog((2, 2, 2))
         assert not entry.finite
 
     def test_hyperplane_count(self):
-        entry = slocc.finite_class_catalog((5, 3, 2))
+        entry = spaces.finite_class_catalog((5, 3, 2))
         assert entry.finite and entry.max_class_count == 2
 
     def test_corollary_families(self):
         # 2n-2, 2n-3, 3n-2 over n x 2 systems for n = 4
         for dims in ((6, 4, 2), (5, 4, 2), (10, 4, 2)):
-            assert slocc.finite_class_catalog(dims).finite
+            assert spaces.finite_class_catalog(dims).finite
 
     def test_trivial_party(self):
         with pytest.raises(PreconditionError, match="dimensions must all be >= 2"):
-            slocc.finite_class_catalog((2, 2, 1))
+            spaces.finite_class_catalog((2, 2, 1))
 
     # one profile per clause that can answer, with everything the entry says
     @pytest.mark.parametrize("dims, finite, max_count, total_count, source", [
@@ -290,6 +290,6 @@ class TestFiniteClassCatalog:
         ((2, 2, 2), False, None, None, None),
     ])
     def test_provenance(self, dims, finite, max_count, total_count, source):
-        entry = slocc.finite_class_catalog(dims)
+        entry = spaces.finite_class_catalog(dims)
         assert (entry.finite, entry.max_class_count, entry.total_class_count, entry.source) == (
             finite, max_count, total_count, source)
