@@ -137,10 +137,10 @@ def matmul_tensor(m: int) -> PureState:
     """Matrix-multiplication tensor sum_{i,j,k} |i,j>|i,k>|k,j> in (m^2)^3."""
     if m < 2:
         raise PreconditionError(f"matrix size must be >= 2, got {m}")
-    eye = np.eye(m, dtype=complex)
-    # party indices (a,b), (c,d), (e,f) with a = c = i, b = f = j, d = e = k
-    tens = np.einsum("ac,bf,de->abcdef", eye, eye, eye)
-    return PureState(DimsProfile((m * m,) * 3), tens.reshape(-1))
+    tens = np.zeros((m,) * 6, dtype=complex)
+    i, j, k = np.indices((m, m, m))
+    tens[i, j, i, k, k, j] = 1.0  # party indices (i,j), (i,k), (k,j)
+    return PureState(DimsProfile((m * m,) * 3), tens)
 
 
 def case1_pair(d: int) -> Tuple[PureState, PureState]:
@@ -150,9 +150,8 @@ def case1_pair(d: int) -> Tuple[PureState, PureState]:
     of the first, pairs (0,2) and (1,3). Both have full local ranks, and their
     bipartition rank profiles witness SLOCC incomparability.
     """
-    bell = epr(d).tensor()  # raises PreconditionError for d < 2
-    pair = np.einsum("ab,cd->abcd", bell, bell)
+    DimsProfile((d, d)).require_nontrivial_dims()  # refused as epr(d) refuses it
+    bell = np.eye(d, dtype=complex)
+    pair = np.multiply.outer(bell, bell)
     prof = DimsProfile((d, d, d, d))
-    first = PureState(prof, pair.reshape(-1))
-    second = PureState(prof, pair.transpose(0, 2, 1, 3).reshape(-1))
-    return first, second
+    return PureState(prof, pair), PureState(prof, pair.transpose(0, 2, 1, 3))

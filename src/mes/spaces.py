@@ -24,9 +24,10 @@ class DimsProfile:
 
     def __post_init__(self):
         dims = tuple(self.dims)
-        if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) for d in dims):
-            raise PreconditionError(f"dimensions must be integers, got {dims}")
-        dims = tuple(int(d) for d in dims)
+        if not all(type(d) is int for d in dims):  # plain ints skip the ABC check
+            if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) for d in dims):
+                raise PreconditionError(f"dimensions must be integers, got {dims}")
+            dims = tuple(int(d) for d in dims)
         if len(dims) < 1:
             raise PreconditionError("profile needs at least one party")
         if any(d < 1 for d in dims):

@@ -103,3 +103,9 @@ def support_projectors(state: PureState) -> LocalOperatorTuple:
         perp = core.orthocomplement_basis(core.flattening(state, {i}).T, rank)
         ops.append(np.eye(state.dims[i]) - perp @ perp.conj().T)
     return LocalOperatorTuple(tuple(ops))
+
+
+def group_parties(state: PureState, groups: Sequence[Sequence[int]]) -> PureState:
+    """The state with each group of parties, in order, merged into one party."""
+    dims = tuple(math.prod(state.dims[i] for i in g) for g in groups)
+    return PureState(DimsProfile(dims), state.tensor().transpose([i for g in groups for i in g]))

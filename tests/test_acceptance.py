@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from _helpers import random_invertible_tuple, random_singular_tuple, random_state
+from _helpers import group_parties, random_invertible_tuple, random_singular_tuple, random_state
 from mes import construct, core, rank, slocc, spaces
 
 
@@ -153,7 +153,7 @@ def test_criterion_9_refinement():
         produced += 1
         refined_maximal = slocc.is_maximal(state)
         for groups in pairings:
-            grouped = core.group_parties(state, groups)
+            grouped = group_parties(state, groups)
             if slocc.is_maximal(grouped) and not refined_maximal:
                 ok = False
     report(9, "refinement preserves maximality", ok)

@@ -1,6 +1,7 @@
 """Exact stdout and exit code of every CLI command, human and --json.
 
-Every input is a 0/1 state or a dims-only query, so each output is exact.
+Every input is a 0/1 state, dyadic operator entries or a dims-only query, so
+each output is exact.
 Files live in the working directory under fixed names, which keeps the
 `input` paths of the --json reports fixed too. The complement vector's sign
 is the one LAPACK's SVD returns.
@@ -39,6 +40,15 @@ def files(tmp_path, monkeypatch, ghz, phi1_322, phi2_322, bell):
     )
     with open("ops.json", "w") as fh:
         json.dump(io.ops_to_dict(projector), fh)
+    # rectangular, complex and distinct per party, so a change of axis order
+    # shows; dyadic entries keep every amplitude exact
+    ops3 = core.LocalOperatorTuple((
+        np.array([[0.5, -1.25, 2], [0.75j, 1, -0.5 + 0.25j]]),
+        np.array([[1.5, 0.25], [-1, 0.5j]]),
+        np.array([[0.125, 1], [2, -0.75]]),
+    ))
+    with open("ops3.json", "w") as fh:
+        json.dump(io.ops_to_dict(ops3), fh)
 
 
 def run(capsys, argv):
@@ -224,6 +234,36 @@ GOLDEN = {
         "",
         "",
     ),
+    "construct-matmul": (
+        "construct matmul --m 2", 0,
+        '{"dims": [4, 4, 4], "amps": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], '
+        '[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, '
+        '0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], '
+        '[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, '
+        '0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0], '
+        '[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, '
+        '0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], '
+        '[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, '
+        '0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0], '
+        '[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, '
+        '0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0], '
+        '[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, '
+        '0.0]]}\n',
+        '{"command": "construct", "input": {"family": "matmul"}, '
+        '"provenance": ["construction"], "result": {"amps": [[1.0, 0.0], '
+        '[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, '
+        '0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], '
+        '[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, '
+        '0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], '
+        '[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, '
+        '0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], '
+        '[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, '
+        '0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], '
+        '[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, '
+        '0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], '
+        '[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, '
+        '0.0], [0.0, 0.0], [1.0, 0.0]], "dims": [4, 4, 4]}}\n',
+    ),
     "construct-case1": (
         "construct case1 --d 2 --which 1", 0,
         '{"dims": [2, 2, 2, 2], "amps": [[1.0, 0.0], [0.0, 0.0], [0.0, '
@@ -322,6 +362,17 @@ GOLDEN = {
         '"bell.json"}, "provenance": ["local-operators"], "result": '
         '{"amps": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "dims": '
         '[2, 2]}}\n',
+    ),
+    "apply-three-parties": (
+        "apply phi2.json ops3.json", 0,
+        '{"dims": [2, 2, 2], "amps": [[-1.3203125, 0.0], [1.90625, 0.0], '
+        '[1.1875, 0.921875], [-1.9375, -2.0], [1.40625, 0.203125], '
+        '[-0.53125, 2.203125], [-1.125, -0.28125], [0.84375, -0.3125]]}\n',
+        '{"command": "apply", "input": {"ops": "ops3.json", "state": '
+        '"phi2.json"}, "provenance": ["local-operators"], "result": '
+        '{"amps": [[-1.3203125, 0.0], [1.90625, 0.0], [1.1875, 0.921875], '
+        '[-1.9375, -2.0], [1.40625, 0.203125], [-0.53125, 2.203125], '
+        '[-1.125, -0.28125], [0.84375, -0.3125]], "dims": [2, 2, 2]}}\n',
     ),
 }
 

@@ -159,6 +159,33 @@ def test_matmul_tensor_rejects_m1():
         construct.matmul_tensor(1)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_matmul_tensor_is_bitwise_its_einsum_definition(m):
+    eye = np.eye(m, dtype=complex)
+    # party indices (a,b), (c,d), (e,f) with a = c = i, b = f = j, d = e = k
+    tens = np.einsum("ac,bf,de->abcdef", eye, eye, eye)
+    assert np.array_equal(construct.matmul_tensor(m).amplitudes, tens.reshape(-1))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_case1_pair_is_bitwise_its_einsum_definition(d):
+    bell = construct.epr(d).tensor()
+    pair = np.einsum("ab,cd->abcd", bell, bell)
+    first, second = construct.case1_pair(d)
+    assert np.array_equal(first.amplitudes, pair.reshape(-1))
+    assert np.array_equal(second.amplitudes, pair.transpose(0, 2, 1, 3).reshape(-1))
+
+
+@pytest.mark.parametrize("d", [1, 0, 2.0])
+def test_case1_pair_refuses_as_epr_does(d):
+    refusals = []
+    for build in (construct.epr, construct.case1_pair):
+        with pytest.raises(PreconditionError) as refusal:
+            build(d)
+        refusals.append(str(refusal.value))
+    assert refusals[0] == refusals[1]
+
+
 def test_case1_pair_cut_ranks():
     a, b = construct.case1_pair(2)
     assert core.schmidt_rank(a, {0, 1})[0] == 1

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from mes import construct, core, rank, slocc, spaces
 from mes.core import (
     LocalOperatorTuple,
     apply_local,
-    group_parties,
     local_ranks,
     make_state,
     schmidt_rank,
@@ -68,8 +68,9 @@ def test_profile_derived_quantities():
 
 @pytest.mark.parametrize(
     "dims",
-    [(2.5, 2), ("3", 2), (True, 3), (2, np.float64(2.0)), (np.bool_(True), 2)],
-    ids=["float", "str", "bool", "numpy-float", "numpy-bool"],
+    [(2.5, 2), ("3", 2), (True, 3), (2, np.float64(2.0)), (np.bool_(True), 2), (3.0, 2),
+     (2, None)],
+    ids=["float", "str", "bool", "numpy-float", "numpy-bool", "integral-float", "none"],
 )
 def test_profile_rejects_non_integer_dimensions(dims):
     with pytest.raises(PreconditionError, match="dimensions must be integers"):
@@ -181,6 +182,52 @@ def test_bipartition_count_four_parties():
     assert len(prof.bipartition_ranks) == 7
 
 
+def _tensordot_reference(state, tup):
+    tens = state.tensor()
+    for i, op in enumerate(tup.ops):
+        tens = np.moveaxis(np.tensordot(op, tens, axes=(1, i)), 0, i)
+    return tens.reshape(-1)
+
+
+# C-ordered and rectangular, a transposed view, Fortran-ordered, a strided slice
+OPERATOR_LAYOUTS = {
+    "rectangular": lambda op: op,
+    "transposed": lambda op: op.T.copy().T,
+    "fortran": np.asfortranarray,
+    "sliced": lambda op: np.kron(op, np.ones((2, 3)))[::2, ::3],
+}
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("layout", OPERATOR_LAYOUTS)
+def test_apply_local_is_bitwise_tensordot(n, layout):
+    rng = np.random.default_rng(n)
+    dims = tuple(int(d) for d in rng.integers(1, 4, size=n))
+    state = random_state(dims, rng)
+    ops = []
+    for d in dims:
+        rows = int(rng.integers(1, 4))
+        ops.append(OPERATOR_LAYOUTS[layout](rng.standard_normal((rows, d))
+                                            + 1j * rng.standard_normal((rows, d))))
+    tup = LocalOperatorTuple(tuple(ops))
+    assert np.array_equal(apply_local(state, tup).amplitudes, _tensordot_reference(state, tup))
+
+
+def test_flattening_is_the_transpose_of_every_subset():
+    state = random_state((2, 3, 1, 4), np.random.default_rng(3))
+    tens = state.tensor()
+    for size in range(5):
+        for sub in itertools.combinations(range(4), size):
+            rest = [i for i in range(4) if i not in sub]
+            rows = math.prod(state.dims[i] for i in sub)
+            expected = tens.transpose(list(sub) + rest).reshape(rows, -1)
+            for asked in (sub, sub[::-1], sub + sub, set(sub)):  # sorted, unsorted, repeated
+                assert np.array_equal(core.flattening(state, asked), expected)
+    for out_of_range in ({4}, {-1}, {0, 5}):
+        with pytest.raises((IndexError, ValueError)):
+            core.flattening(state, out_of_range)
+
+
 def test_apply_local_identity(ghz):
     out = apply_local(ghz, identity_tuple(ghz.dims))
     assert np.array_equal(out.amplitudes, ghz.amplitudes)
@@ -219,31 +266,9 @@ def test_apply_local_shape_mismatch(bell):
         apply_local(bell, LocalOperatorTuple((np.eye(3), np.eye(2))))
 
 
-def test_group_parties_ghz(ghz):
-    grouped = group_parties(ghz, ((0,), (1, 2)))
-    assert grouped.dims == (2, 4)
-    assert np.array_equal(grouped.amplitudes, ghz.amplitudes)
-
-
-def test_group_parties_product_across_cut():
-    from mes.construct import case1_pair
-
-    first, _ = case1_pair(2)
-    grouped = group_parties(first, ((0, 1), (2, 3)))
-    assert schmidt_rank(grouped, {0})[0] == 1
-
-
-def test_group_parties_invalid_partition(ghz):
-    with pytest.raises(PreconditionError, match="do not partition parties"):
-        group_parties(ghz, ((0,), (1,)))
-    with pytest.raises(PreconditionError, match="do not partition parties"):
-        group_parties(ghz, ((0, 1), (1, 2)))
-
-
 @pytest.mark.parametrize("refused, refusal", [
-    (lambda: group_parties(make_state([2, 2, 2], [1] + [0] * 7), [(0, 1, 2), ()]), "empty group"),
     (lambda: LocalOperatorTuple(([1, 2],)), "operator 0 is not a matrix"),
-], ids=["empty-group", "vector-operator"])
+], ids=["vector-operator"])
 def test_malformed_arguments_are_refused(refused, refusal):
     with pytest.raises(PreconditionError, match=refusal):
         refused()
@@ -428,6 +453,20 @@ def test_second_local_ranks_decides_nothing(svd_calls, monkeypatch):
     assert svd_calls == decisions == []
 
 
+def test_local_ranks_are_remembered_and_returned_fresh(svd_calls, monkeypatch):
+    s = random_state((2,) * 4, np.random.default_rng(5))
+    first = local_ranks(s)
+    svd_calls.clear()
+    first.bipartition_ranks[(0,)] = 0
+    second = local_ranks(s)
+    assert svd_calls == []
+    assert second.bipartition_ranks[(0,)] == 2
+    assert second.bipartition_ranks is not first.bipartition_ranks
+    monkeypatch.setenv("MES_RANK_EPS", "1e-6")
+    assert local_ranks(s) == second
+    assert len(svd_calls) == 7  # a new cutoff decides every cut again
+
+
 def test_complement_after_classification_makes_no_svd(svd_calls):
     tup = random_invertible_tuple((5, 3, 2), np.random.default_rng(8))
     state = apply_local(construct.canonical_maximal((5, 3, 2), 2), tup)
@@ -501,7 +540,6 @@ CUTOFF_READS = [
     (slocc.hyperplane_equivalence_tuple, _hyperplane_pair, 1),
     (core.flattening, lambda: (_fresh((2, 3, 2)), {1}), 0),
     (apply_local, lambda: (_fresh((2, 3, 2)), identity_tuple((2, 3, 2))), 0),
-    (group_parties, lambda: (_fresh((2, 3, 2)), [(0, 2), (1,)]), 0),
     (slocc.reach_from_mes, lambda: ((4, 2, 2), _fresh((4, 2, 2))), 0),
     (rank.verify_decomposition,
      lambda: (construct.matmul_tensor(2), rank.strassen_decomposition()), 0),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from _helpers import (
     conditioned_tuple,
+    group_parties,
     random_invertible_tuple,
     random_singular_tuple,
     random_state,
@@ -70,7 +71,7 @@ def test_ranks_non_increasing_under_singular_tuples():
 def test_group_parties_preserves_group_aligned_cuts():
     rng = np.random.default_rng(12)
     s = random_state((2, 3, 2, 2), rng)
-    grouped = core.group_parties(s, ((0, 1), (2, 3)))
+    grouped = group_parties(s, ((0, 1), (2, 3)))
     assert (
         core.schmidt_rank(grouped, {0})[0]
         == core.schmidt_rank(s, {0, 1})[0]
@@ -131,7 +132,7 @@ def test_refinement_of_grouped_maximal_states():
         s = random_state((2, 2, 2, 2), rng)
         refined_maximal = slocc.is_maximal(s)
         for groups in pairings:
-            grouped = core.group_parties(s, groups)
+            grouped = group_parties(s, groups)
             if slocc.is_maximal(grouped):
                 assert refined_maximal
 
