@@ -6,8 +6,9 @@ violation, 3 undecidable. With --json every command emits one JSON object
 without --json print the bare state JSON so their output feeds every
 consuming command.
 
-Every command is one COMMANDS entry. Handlers call library functions through
-their module at call time, so wrappers installed on a module see every call.
+Every command is one COMMANDS entry, and `main` builds the parser of that one
+command only. Handlers call library functions through their module at call
+time, so wrappers installed on a module see every call.
 """
 
 from __future__ import annotations
@@ -205,43 +206,38 @@ COMMANDS = {
 }
 
 
-def build_parser(argv: Optional[list] = None) -> argparse.ArgumentParser:
-    """The parser for argv (default sys.argv[1:]).
-
-    Every subcommand is listed, but only the one argv names gets its
-    arguments: the first token that is a command name, since no option before
-    the subcommand takes a value.
-    """
-    if argv is None:
-        argv = sys.argv[1:]
-    chosen = next((token for token in argv if token in COMMANDS), None)
-    parser = argparse.ArgumentParser(
-        prog="mes",
-        description="Multipartite entanglement analysis under stochastic LOCC.",
-    )
-    # --json is accepted after the subcommand too.  SUPPRESS keeps the
-    # subparser from clobbering a value given before the subcommand.
-    json_flag = {"action": "store_true", "help": "machine-readable report"}
-    parser.add_argument("--json", default=False, **json_flag)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        if name != chosen:
-            continue
-        p.add_argument("--json", default=argparse.SUPPRESS, **json_flag)
-        for flags, kwargs in command.args:
-            p.add_argument(*flags, **kwargs)
+def build_parser(name: Optional[str] = None) -> argparse.ArgumentParser:
+    """mes's own parser, `[--json] command ...`, or with a name the parser of
+    that command: its COMMANDS entry's arguments and --json."""
+    if name is None:
+        parser = argparse.ArgumentParser(
+            prog="mes",
+            description="Multipartite entanglement analysis under stochastic LOCC.",
+            epilog="commands:\n" + "\n".join(
+                f"  {key:<15}{entry.help}" for key, entry in COMMANDS.items()),
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+        )
+        parser.add_argument("command", choices=COMMANDS, metavar="command",
+                            help="one of the commands below")
+        parser.add_argument("args", nargs=argparse.REMAINDER,
+                            help="its arguments: see mes <command> --help")
+    else:
+        parser = argparse.ArgumentParser(prog=f"mes {name}", description=COMMANDS[name].help)
+        for flags, kwargs in COMMANDS[name].args:
+            parser.add_argument(*flags, **kwargs)
+    parser.add_argument("--json", action="store_true", help="machine-readable report")
     return parser
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser(argv).parse_args(argv)
-    command = COMMANDS[args.command]
+    top = build_parser().parse_args(argv)
+    args = build_parser(top.command).parse_args(top.args)
+    command = COMMANDS[top.command]
     try:
         result, provenance, human = command.run(args)
-        if args.json:
+        if top.json or args.json:
             print(json.dumps({
-                "command": args.command,
+                "command": top.command,
                 "input": {key: getattr(args, key) for key in command.inputs},
                 "result": result,
                 "provenance": provenance,

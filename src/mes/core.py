@@ -135,7 +135,10 @@ def numerical_rank(svals: np.ndarray, eps: float) -> int:
 
 def flattening(state: PureState, subset: Iterable[int]) -> np.ndarray:
     """Matrix of the state across subset : complement, subset indices as rows."""
-    return _flat(state, tuple(sorted({int(i) for i in subset})))
+    sub = tuple(sorted({int(i) for i in subset}))
+    if sub and (sub[0] < 0 or sub[-1] >= state.n):
+        raise PreconditionError(f"parties {list(sub)} must lie in 0..{state.n - 1}")
+    return _flat(state, sub)
 
 
 @functools.lru_cache(maxsize=4096)

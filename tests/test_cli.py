@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from mes import construct, core, io
-from mes.cli import main
+from mes.cli import COMMANDS, main
 
 
 def run(capsys, *argv):
@@ -414,3 +415,37 @@ def test_schmidt_human_output_keeps_huge_singular_values(capsys, tmp_path):
     path.write_text(json.dumps({"dims": [1, 2], "amps": [[1e308, 1e308], [1e308, 0]]}))
     code, out, _ = run(capsys, "schmidt", str(path), "--subset", "1")
     assert (code, out) == (0, "rank = 1, singular values = [1.7320508075688772e+308]\n")
+
+
+@pytest.mark.parametrize("argv", [["check-mes", "--dims", "3,2,2"], ["maximal", "STATE"],
+                                  ["construct", "epr", "--d", "2", "--json"]])
+def test_one_call_builds_two_parsers(capsys, tmp_path, monkeypatch, bell, argv):
+    # mes's own parser and the parser of the command it runs, no other
+    argv = [write_state(tmp_path, "bell.json", bell) if a == "STATE" else a for a in argv]
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, *argv)[0] == 0
+    assert built == ["mes", f"mes {argv[0]}"]
+
+
+def test_help_lists_every_command_with_its_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name, command in COMMANDS.items():
+        assert any(line.split() == [name] + command.help.split() for line in lines), name
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_each_command_has_its_own_help(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: mes {name} ")

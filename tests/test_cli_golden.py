@@ -378,10 +378,13 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
-@pytest.mark.parametrize("mode", ["human", "json"])
+@pytest.mark.parametrize("mode", ["human", "json", "json-after"])
 def test_golden_output(capsys, files, case, mode):
+    # --json goes before the command or after it, with the same report
     argv, code, human, report = GOLDEN[case]
     argv = argv.split()
     if mode == "json":
         argv = ["--json"] + argv
+    elif mode == "json-after":
+        argv = argv + ["--json"]
     assert run(capsys, argv) == (code, human if mode == "human" else report)

@@ -224,7 +224,7 @@ def test_flattening_is_the_transpose_of_every_subset():
             for asked in (sub, sub[::-1], sub + sub, set(sub)):  # sorted, unsorted, repeated
                 assert np.array_equal(core.flattening(state, asked), expected)
     for out_of_range in ({4}, {-1}, {0, 5}):
-        with pytest.raises((IndexError, ValueError)):
+        with pytest.raises(PreconditionError, match=r"must lie in 0\.\.3"):
             core.flattening(state, out_of_range)
 
 
