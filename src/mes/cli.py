@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, NamedTuple, Optional
+from collections import namedtuple
 
 from . import construct, core, io, rank, slocc, spaces
 from .errors import PreconditionError, UndecidableError
@@ -60,13 +60,12 @@ def _witness(args) -> tuple:
 
 
 def _catalog(args) -> tuple:
-    entry = spaces.finite_class_catalog(args.dims)
-    result = dict(vars(entry), finite="yes" if entry.finite else "unknown")
-    human = (
-        f"{entry.dims}: finite = {result['finite']}"
-        + (f", maximal classes = {entry.max_class_count}" if entry.max_class_count else "")
-        + (f", total classes = {entry.total_class_count}" if entry.total_class_count else "")
-    )
+    dims, finite, max_count, total_count, source = spaces.finite_class_catalog(args.dims)
+    result = {"dims": dims, "finite": "yes" if finite else "unknown",
+              "max_class_count": max_count, "total_class_count": total_count, "source": source}
+    human = (f"{dims}: finite = {result['finite']}"
+             + (f", maximal classes = {max_count}" if max_count else "")
+             + (f", total classes = {total_count}" if total_count else ""))
     return result, ["finite-class-catalog"], human
 
 
@@ -117,10 +116,11 @@ def _schmidt(args) -> tuple:
 
 
 def _rank_bounds(args) -> tuple:
-    bound = spaces.space_rank_bounds(args.dims)
-    human = (f"rank({args.dims}) = {bound.lower}" if bound.exact
-             else f"rank({args.dims}) in [{bound.lower}, {bound.upper}]")
-    return dict(vars(bound)), list(bound.provenance), human
+    lower, upper, exact, provenance = spaces.space_rank_bounds(args.dims)
+    human = (f"rank({args.dims}) = {lower}" if exact
+             else f"rank({args.dims}) in [{lower}, {upper}]")
+    return ({"lower": lower, "upper": upper, "exact": exact, "provenance": provenance},
+            list(provenance), human)
 
 
 def _verify_decomp(args) -> tuple:
@@ -132,14 +132,15 @@ def _verify_decomp(args) -> tuple:
     return {"verified": ok, "terms": len(decomp)}, ["certificate"], human
 
 
-class Command(NamedTuple):
-    help: str
-    args: list
-    inputs: tuple  # attributes of the parsed arguments reported under "input"
+Command = namedtuple("Command", [
+    "help",
+    "args",
+    "inputs",  # attributes of the parsed arguments reported under "input"
     # parsed arguments -> (result, provenance, human text); human text None
     # means the result itself as JSON, so construct and apply print bare states
     # and classify and rank-lb bare integers
-    run: Callable
+    "run",
+])
 
 
 STATE = _arg("state")
@@ -206,7 +207,7 @@ COMMANDS = {
 }
 
 
-def build_parser(name: Optional[str] = None) -> argparse.ArgumentParser:
+def build_parser(name: str | None = None) -> argparse.ArgumentParser:
     """mes's own parser, `[--json] command ...`, or with a name the parser of
     that command: its COMMANDS entry's arguments and --json."""
     if name is None:
@@ -229,7 +230,7 @@ def build_parser(name: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list] = None) -> int:
+def main(argv: list | None = None) -> int:
     top = build_parser().parse_args(argv)
     args = build_parser(top.command).parse_args(top.args)
     command = COMMANDS[top.command]

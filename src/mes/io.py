@@ -106,9 +106,17 @@ def decomposition_from_dict(data: dict) -> ProductDecomposition:
     return ProductDecomposition(tuple(tuple(_complex(v) for v in term) for term in terms))
 
 
+def _read(path: str, from_dict):
+    """from_dict of the JSON document at path; ValueError naming it if it nests too deep."""
+    try:
+        with open(path) as fh:
+            return from_dict(json.load(fh))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nests too deeply") from None
+
+
 def load_state(path: str) -> PureState:
-    with open(path) as fh:
-        return state_from_dict(json.load(fh))
+    return _read(path, state_from_dict)
 
 
 def save_state(state: PureState, path: str) -> None:
@@ -117,10 +125,8 @@ def save_state(state: PureState, path: str) -> None:
 
 
 def load_ops(path: str) -> LocalOperatorTuple:
-    with open(path) as fh:
-        return ops_from_dict(json.load(fh))
+    return _read(path, ops_from_dict)
 
 
 def load_decomposition(path: str) -> ProductDecomposition:
-    with open(path) as fh:
-        return decomposition_from_dict(json.load(fh))
+    return _read(path, decomposition_from_dict)

@@ -3,27 +3,29 @@
 The MES existence condition, the finite-class catalog and the Thm 2 bounds on
 the maximum tensor rank of a space are integer arithmetic on a profile, so
 this module imports nothing but the standard library and errors: a question
-about a space never pays for numpy.
+about a space never pays for numpy. Its records are named tuples and its
+hints are never evaluated, so it does not import `dataclasses` (which loads
+`inspect`, `ast`, `dis` and `tokenize`) or `typing` either: those cost a
+profile command more than its arithmetic does.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .errors import PreconditionError
 
 
-@dataclass(frozen=True)
-class DimsProfile:
+class DimsProfile(namedtuple("DimsProfile", "dims")):
     """Ordered subsystem dimensions with derived quantities."""
 
-    dims: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        dims = tuple(self.dims)
+    def __new__(cls, dims):
+        dims = tuple(dims)
         if not all(type(d) is int for d in dims):  # plain ints skip the ABC check
             if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) for d in dims):
                 raise PreconditionError(f"dimensions must be integers, got {dims}")
@@ -32,7 +34,7 @@ class DimsProfile:
             raise PreconditionError("profile needs at least one party")
         if any(d < 1 for d in dims):
             raise PreconditionError(f"dimensions must be >= 1, got {dims}")
-        object.__setattr__(self, "dims", dims)
+        return super().__new__(cls, dims)
 
     @property
     def n(self) -> int:
@@ -62,7 +64,7 @@ class DimsProfile:
         return self.deficiency <= 0
 
     @property
-    def k(self) -> Optional[int]:
+    def k(self) -> int | None:
         """Deficiency d2*d3 - d1 of a tripartite profile; k = 1 is the hyperplane."""
         return self.deficiency if self.n == 3 else None
 
@@ -129,18 +131,13 @@ def mes_exists(dims: Sequence[int]) -> bool:
     return DimsProfile(dims).require_nontrivial_dims().has_mes
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    """Finiteness verdict for the maximal equivalence classes of a profile."""
-
-    dims: tuple
-    finite: bool
-    max_class_count: Optional[int] = None
-    total_class_count: Optional[int] = None
-    source: Optional[str] = None
+# Finiteness verdict for the maximal equivalence classes of a profile.
+CatalogEntry = namedtuple(
+    "CatalogEntry", "dims finite max_class_count total_class_count source",
+    defaults=(None, None, None))
 
 
-def _corollary_family_match(sorted_dims: tuple) -> Optional[str]:
+def _corollary_family_match(sorted_dims: tuple) -> str | None:
     """Match against the finite-class families (2b - 2, b, 2) and (2b - 3, b, 2)."""
     if len(sorted_dims) == 3:
         a, b, c = sorted_dims
@@ -170,34 +167,28 @@ def finite_class_catalog(dims: Sequence[int]) -> CatalogEntry:
     # the clauses below presuppose 1 <= deficiency < tail_product/2
     if 2 * prof.deficiency < prof.tail_product:
         if prof.k == 1:
-            return CatalogEntry(
-                sorted_dims, True,
-                max_class_count=min(sorted_dims[1], sorted_dims[2]),
-                source="hyperplane class count",
-            )
+            return CatalogEntry(sorted_dims, True, max_class_count=sorted_dims[2],
+                                source="hyperplane class count")
         if prof.deficiency == 1:
             return CatalogEntry(sorted_dims, True,
                                 source="hyperplane correspondence")
         family = _corollary_family_match(sorted_dims)
         if family is not None:
             return CatalogEntry(sorted_dims, True, source=family)
-    return CatalogEntry(sorted_dims, False, source=None)
+    return CatalogEntry(sorted_dims, False)
 
 
-@dataclass(frozen=True)
-class RankBound:
+class RankBound(namedtuple("RankBound", "lower upper exact provenance")):
     """Interval [lower, upper] on tensor rank with provenance tags."""
 
-    lower: int
-    upper: int
-    exact: bool
-    provenance: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise ValueError(f"lower {self.lower} > upper {self.upper}")
-        if self.exact and self.lower != self.upper:
+    def __new__(cls, lower: int, upper: int, exact: bool, provenance: tuple):
+        if lower > upper:
+            raise ValueError(f"lower {lower} > upper {upper}")
+        if exact and lower != upper:
             raise ValueError("exact bound must have lower == upper")
+        return super().__new__(cls, lower, upper, exact, provenance)
 
 
 def space_rank_bounds(dims: Sequence[int]) -> RankBound:

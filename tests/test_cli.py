@@ -232,6 +232,21 @@ def test_malformed_ops_and_decomposition_exit_1(capsys, tmp_path, bell, command,
     assert out == "" and err.startswith("input error") and named in err
 
 
+# (command, how many valid Bell-state files precede the deep one)
+@pytest.mark.parametrize("command, states", [("maximal", 0), ("apply", 1), ("verify-decomp", 1)])
+def test_deeply_nested_json_exit_1_without_traceback(tmp_path, bell, command, states):
+    # json.dumps cannot build this document: it nests deeper than Python recurses
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    paths = [write_state(tmp_path, "bell.json", bell)] * states + [str(path)]
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "mes.cli", command, *paths],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("input error") and "Traceback" not in proc.stderr
+
+
 BELL = {"dims": [2, 2], "amps": BELL_AMPS}
 E0 = [[1, 0], [0, 0]]
 # (command, state document, second document or None, the refusal): inputs

@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from mes import rank, slocc, spaces
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -39,6 +41,33 @@ def test_profile_commands_run_without_numpy():
         "rank-bounds 0 False",
         "construct 0 True",
     ]
+
+
+# prints which of the modules a profile command has no use for are loaded
+# after the three profile commands
+LEAN_CHILD = """
+import contextlib, io, sys
+import mes, mes.cli
+for argv in (["check-mes", "--dims", "3,2,2"], ["catalog", "--dims", "4,3,2"],
+             ["rank-bounds", "--dims", "5,3,3"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert mes.cli.main(argv) == 0
+print(sorted(set(sys.argv[1:]) & set(sys.modules)))
+"""
+
+
+# (interpreter flags, modules that must stay unloaded); with site, a .pth file
+# may import typing before mes starts, and -S runs no .pth file
+@pytest.mark.parametrize("flags, absent", [
+    ([], ["dataclasses", "inspect", "numpy"]),
+    (["-S"], ["dataclasses", "inspect", "numpy", "typing"]),
+], ids=["site", "no-site"])
+def test_profile_commands_load_no_dataclasses_or_typing(flags, absent):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, *flags, "-c", LEAN_CHILD, *absent],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_layer_modules_keep_the_profile_names_the_benchmark_calls():
