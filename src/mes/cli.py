@@ -252,7 +252,7 @@ def main(argv: list | None = None) -> int:
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 2
-    except (OSError, KeyError, ValueError, MemoryError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import chain, islice
-from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -143,7 +143,7 @@ def matmul_tensor(m: int) -> PureState:
     return PureState(DimsProfile((m * m,) * 3), tens)
 
 
-def case1_pair(d: int) -> Tuple[PureState, PureState]:
+def case1_pair(d: int) -> tuple[PureState, PureState]:
     """The two incomparable EPR-pairing states in d x d x d x d.
 
     First pairs parties (0,1) and (2,3); the second, a pure axis permutation

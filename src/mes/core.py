@@ -11,9 +11,9 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,43 +40,42 @@ def rank_eps() -> float:
     return eps
 
 
-@dataclass(frozen=True, eq=False)
 class PureState:
     """Unnormalized pure state: profile plus flat amplitude vector.
 
     Every state is checked here and nowhere else: PreconditionError unless
     there is one amplitude per basis vector of the profile, every amplitude is
     finite and not all are zero. The state owns a read-only copy of its
-    amplitudes, so what it remembers (see remember) cannot go stale. Equality
-    and hashing are by identity: amplitudes are arrays.
+    amplitudes and refuses to rebind them, so what it remembers (see remember)
+    cannot go stale. Equality and hashing are by identity: amplitudes are arrays.
     """
 
-    profile: DimsProfile
-    amplitudes: np.ndarray
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
+    __slots__ = ("_profile", "_amplitudes", "_memo")
+    profile = property(lambda self: self._profile)
+    amplitudes = property(lambda self: self._amplitudes)
 
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.size != self.profile.total_dim:
-            raise PreconditionError(f"expected {self.profile.total_dim} amplitudes "
-                                    f"for dims {self.dims}, got {amps.size}")
+    def __init__(self, profile: DimsProfile, amplitudes):
+        amps = np.array(amplitudes, dtype=complex).reshape(-1)
+        if amps.size != profile.total_dim:
+            raise PreconditionError(f"expected {profile.total_dim} amplitudes "
+                                    f"for dims {profile.dims}, got {amps.size}")
         if not np.isfinite(amps).all():
             raise PreconditionError("amplitudes must be finite, got NaN or infinity")
         if not amps.any():
             raise PreconditionError("all amplitudes are zero")
         amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
+        self._profile, self._amplitudes, self._memo = profile, amps, {}
 
     @property
     def dims(self) -> tuple:
-        return self.profile.dims
+        return self._profile.dims
 
     @property
     def n(self) -> int:
-        return self.profile.n
+        return self._profile.n
 
     def tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape(self.dims)
+        return self._amplitudes.reshape(self._profile.dims)
 
     def remember(self, key, eps: float, compute, *args):
         """The value kept under key if computed under cutoff eps; else compute(*args),
@@ -88,33 +87,29 @@ class PureState:
         return entry[1]
 
 
-@dataclass(frozen=True, eq=False)
 class LocalOperatorTuple:
     """One linear operator per party; op i has shape (out_i, in_i).
 
     Equality and hashing are by identity: operators are arrays.
     """
 
-    ops: tuple
+    __slots__ = ("_ops",)
+    ops = property(lambda self: self._ops)
 
-    def __post_init__(self):
-        ops = tuple(np.asarray(op, dtype=complex) for op in self.ops)
+    def __init__(self, ops):
+        ops = tuple(np.asarray(op, dtype=complex) for op in ops)
         for i, op in enumerate(ops):
             if op.ndim != 2:
                 raise PreconditionError(f"operator {i} is not a matrix")
-        object.__setattr__(self, "ops", ops)
+        self._ops = ops
 
     @property
     def n(self) -> int:
-        return len(self.ops)
+        return len(self._ops)
 
 
-@dataclass(frozen=True)
-class RankProfile:
-    """Single-party ranks plus Schmidt ranks of every canonical bipartition."""
-
-    local_ranks: tuple
-    bipartition_ranks: Mapping
+# Single-party ranks plus Schmidt ranks of every canonical bipartition.
+RankProfile = namedtuple("RankProfile", "local_ranks bipartition_ranks")
 
 
 def make_state(dims: Sequence[int], amplitudes: Sequence[complex]) -> PureState:

@@ -107,12 +107,15 @@ def decomposition_from_dict(data: dict) -> ProductDecomposition:
 
 
 def _read(path: str, from_dict):
-    """from_dict of the JSON document at path; ValueError naming it if it nests too deep."""
+    """from_dict of the JSON document at path; every ValueError reading, decoding
+    or checking it names the file, as does nesting too deep to decode."""
     try:
         with open(path) as fh:
             return from_dict(json.load(fh))
     except RecursionError:
         raise ValueError(f"{path}: JSON nests too deeply") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_state(path: str) -> PureState:

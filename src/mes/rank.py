@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -16,24 +15,21 @@ from .spaces import DimsProfile, RankBound, space_rank_bounds  # noqa: F401
 CERTIFICATE_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
 class ProductDecomposition:
     """Candidate decomposition: one vector per party per term.
 
     Equality and hashing are by identity: the vectors are arrays.
     """
 
-    terms: tuple
+    __slots__ = ("_terms",)
+    terms = property(lambda self: self._terms)
 
-    def __post_init__(self):
-        terms = tuple(
-            tuple(np.asarray(v, dtype=complex).reshape(-1) for v in term)
-            for term in self.terms
-        )
-        object.__setattr__(self, "terms", terms)
+    def __init__(self, terms):
+        self._terms = tuple(
+            tuple(np.asarray(v, dtype=complex).reshape(-1) for v in term) for term in terms)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._terms)
 
 
 def flattening_lower_bound(state: PureState) -> int:
@@ -87,9 +83,7 @@ def verify_decomposition(
     return bool(deviation <= CERTIFICATE_TOL)
 
 
-def certificate_bound(
-    state: PureState, decomposition: ProductDecomposition
-) -> Optional[RankBound]:
+def certificate_bound(state: PureState, decomposition: ProductDecomposition) -> RankBound | None:
     """RankBound from a verified decomposition, tightened by the flattening bound."""
     if not verify_decomposition(state, decomposition):
         return None

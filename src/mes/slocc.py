@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from collections import namedtuple
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -14,19 +14,11 @@ from .errors import PreconditionError, UndecidableError
 from .spaces import DimsProfile, finite_class_catalog  # noqa: F401
 
 
-@dataclass(frozen=True)
-class ComplementClass:
-    """Image of the complement map: representative state, pivot, deficiency k.
-
-    label is the Schmidt rank of the complement across the two non-pivot
-    parties; it is only well defined (basis independent) when k = 1 and the
-    complement is effectively bipartite, and is None otherwise.
-    """
-
-    complement_state: PureState
-    pivot: int
-    k: int
-    label: Optional[int] = None
+# Image of the complement map: representative state, pivot, deficiency k.
+# label is the Schmidt rank of the complement across the two non-pivot
+# parties; it is only well defined (basis independent) when k = 1 and the
+# complement is effectively bipartite, and is None otherwise.
+ComplementClass = namedtuple("ComplementClass", "complement_state pivot k label")
 
 
 def is_maximal(state: PureState) -> bool:
@@ -113,9 +105,7 @@ def equivalent(a: PureState, b: PureState) -> bool:
         ) from exc
 
 
-def incomparability_witness(
-    a: PureState, b: PureState
-) -> Optional[Tuple[tuple, tuple]]:
+def incomparability_witness(a: PureState, b: PureState) -> tuple[tuple, tuple] | None:
     """Pair of bipartitions proving neither state SLOCC-dominates the other.
 
     Returns (S1, S2) with rank(a, S1) > rank(b, S1) and rank(a, S2) <

@@ -3,10 +3,8 @@
 The MES existence condition, the finite-class catalog and the Thm 2 bounds on
 the maximum tensor rank of a space are integer arithmetic on a profile, so
 this module imports nothing but the standard library and errors: a question
-about a space never pays for numpy. Its records are named tuples and its
-hints are never evaluated, so it does not import `dataclasses` (which loads
-`inspect`, `ast`, `dis` and `tokenize`) or `typing` either: those cost a
-profile command more than its arithmetic does.
+about a space never pays for numpy. Its records are named tuples, as
+everywhere in mes (see README).
 """
 
 from __future__ import annotations

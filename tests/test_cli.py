@@ -196,7 +196,7 @@ def test_malformed_state_exit_1(capsys, tmp_path, doc, named):
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "maximal", str(path))
     assert code == 1
-    assert out == "" and err.startswith("input error") and named in err
+    assert out == "" and err.startswith("input error") and named in err and str(path) in err
 
 
 IDENTITY = {"rows": 2, "cols": 2, "entries": BELL_AMPS}
@@ -229,7 +229,17 @@ def test_malformed_ops_and_decomposition_exit_1(capsys, tmp_path, bell, command,
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, command, state, str(path))
     assert code == 1
-    assert out == "" and err.startswith("input error") and named in err
+    assert out == "" and err.startswith("input error") and named in err and str(path) in err
+
+
+@pytest.mark.parametrize("command", ["equiv", "witness"])
+def test_truncated_second_file_is_named(capsys, tmp_path, bell, command):
+    first = write_state(tmp_path, "first.json", bell)
+    second = tmp_path / "second.json"
+    second.write_text(json.dumps(io.state_to_dict(bell))[:-9])
+    code, out, err = run(capsys, command, first, str(second))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"input error: {second}: ") and first not in err
 
 
 # (command, how many valid Bell-state files precede the deep one)

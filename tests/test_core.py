@@ -415,6 +415,23 @@ def test_array_holders_compare_and_hash_by_identity(bell):
     assert strassen != rank.strassen_decomposition() and len({strassen, strassen}) == 1
 
 
+def test_array_holders_own_what_they_hold():
+    # a state owns a read-only copy of its amplitudes and no record rebinds
+    # a field, so what a state remembers cannot go stale
+    source = np.array([1, 0, 0, 1], dtype=complex)
+    state = make_state([2, 2], source)
+    source[0] = 5
+    assert state.amplitudes.tolist() == [1, 0, 0, 1]
+    with pytest.raises(ValueError):
+        state.amplitudes[0] = 5
+    ops = LocalOperatorTuple((np.eye(2), np.eye(2)))
+    strassen = rank.strassen_decomposition()
+    for record, name in [(state, "amplitudes"), (state, "profile"), (ops, "ops"),
+                         (strassen, "terms")]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+
+
 def test_memoised_answers_follow_every_cutoff_switch(monkeypatch):
     # party 0 has singular values 1, 1, 1e-7: the default cutoff keeps the smallest, 1e-6 drops it
     shrink = LocalOperatorTuple((np.diag([1, 1, 1e-7]), np.eye(2), np.eye(2)))

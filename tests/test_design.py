@@ -82,3 +82,16 @@ def test_the_profile_layer_imports_only_the_stdlib_and_errors():
             imported.add("." * node.level + (node.module or ""))
     assert {name for name in imported
             if name.split(".")[0] not in sys.stdlib_module_names} == {".errors"}
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    # records are named tuples or __slots__ classes and hints are never
+    # evaluated, so no command pays for dataclasses or typing
+    hits = []
+    for path in sorted(Path(mes.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            hits += [f"{path.name}:{node.lineno}: {name}" for name in names
+                     if name.split(".")[0] in ("dataclasses", "typing")]
+    assert hits == []
