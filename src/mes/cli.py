@@ -77,8 +77,7 @@ FAMILIES = {
     "canonical": (["dims", "r"], lambda a: construct.canonical_maximal(a.dims, a.r)),
     "matmul": (["m"], lambda a: construct.matmul_tensor(a.m)),
     "case1": (["d"], lambda a: construct.case1_pair(a.d)[a.which]),
-    "augment": (["state"], lambda a: construct.augment_to_full_ranks(
-        io.load_state(a.state), seed=a.seed)),
+    "augment": (["state"], lambda a: construct.augment_to_full_ranks(io.load_state(a.state))),
 }
 
 
@@ -182,7 +181,6 @@ COMMANDS = {
             _arg("--m", type=int, help="matrix size for matmul"),
             _arg("--which", type=int, default=0, choices=[0, 1], help="case1 member"),
             _arg("--state", help="input state for augment"),
-            _arg("--seed", type=int, default=0, help="seed for augment's random redraws"),
             _arg("-o", "--out", help="also write the state JSON to this path"),
         ],
         ("family",), _construct),

@@ -64,54 +64,47 @@ def rank_d1_terms(dims: Sequence[int]) -> list:
     return [(unit(0, i), unit(1, a), unit(2, c)) for i, (a, c) in enumerate(pairs)]
 
 
-def augment_to_full_ranks(state: PureState, seed: int = 0) -> PureState:
+def augment_to_full_ranks(state: PureState) -> PureState:
     """Append product terms until every party has full local rank.
 
-    Each step adds one term whose factor at every rank-deficient party is a
-    unit vector orthogonal to that party's current support, and the first
-    support basis vector at the remaining parties. Projecting onto the input
-    supports recovers the input, so no bipartition rank decreases. Factors are
-    redrawn at random (seeded) in the unlikely event a rank fails to grow.
+    Each step adds one term. Its factor at every rank-deficient party is a
+    unit vector orthogonal to that party's current support. Its factor at
+    every full party is a basis vector, chosen so that the product of the
+    factors of the parties other than the first deficient party i has the
+    largest component outside the row space of i's flattening. As
+    rank(M + a w^T) = rank(M) + 1 for a outside col(M) and w outside row(M),
+    every deficient rank grows by one and none drops. Projecting onto the
+    input supports recovers the input, so no bipartition rank decreases.
     """
     state.profile.require_three_parties().require_full_ranks()
     eps = core.rank_eps()
     singles = [core.canonical_cut(3, {i}) for i in range(3)]
-    rng = np.random.default_rng(seed)
     current = state
     for _ in range(sum(state.dims)):
         ranks = [core.decide(current, cut, eps)[0] for cut in singles]
         deficient = [i for i in range(3) if ranks[i] < current.dims[i]]
         if not deficient:
             return current
-        # current is fixed across the redraws, so each party's basis is found
-        # once: the orthocomplement of its support if deficient, else its
-        # left singular vectors
-        bases = [
-            core.orthocomplement_basis(core.flattening(current, {i}).T, ranks[i]) if i in deficient
-            else np.linalg.svd(core.flattening(current, {i}), full_matrices=False)[0]
-            for i in range(3)
+        i = deficient[0]
+        others = [k for k in range(3) if k != i]
+        # the basis product of the other parties farthest outside i's row space
+        outside = core.orthocomplement_basis(core.flattening(current, {i}), ranks[i])
+        pick = np.unravel_index(np.argmax(np.linalg.norm(outside, axis=1)),
+                                [current.dims[k] for k in others])
+        units = dict(zip(others, pick))
+        factors = [
+            core.orthocomplement_basis(core.flattening(current, {k}).T, ranks[k])[:, 0]
+            if k in deficient else np.eye(1, current.dims[k], units[k], dtype=complex)[0]
+            for k in range(3)
         ]
-        for attempt in range(8):
-            factors = []
-            for i, basis in enumerate(bases):
-                v = basis[:, 0]
-                if attempt:
-                    size = basis.shape[1] if i in deficient else current.dims[i]
-                    v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-                    if i in deficient:
-                        v = basis @ v
-                    v /= np.linalg.norm(v)
-                factors.append(v)
-            term = np.einsum("a,b,c->abc", *factors)
-            candidate = PureState(current.profile, (current.tensor() + term).reshape(-1))
-            new_ranks = [core.decide(candidate, cut, eps)[0] for cut in singles]
-            grew = all(new_ranks[i] == ranks[i] + 1 for i in deficient)
-            kept = all(new_ranks[i] >= ranks[i] for i in range(3))
-            if grew and kept:
-                current = candidate
-                break
-        else:
+        term = np.einsum("a,b,c->abc", *factors)
+        candidate = PureState(current.profile, (current.tensor() + term).reshape(-1))
+        new_ranks = [core.decide(candidate, cut, eps)[0] for cut in singles]
+        grew = all(new_ranks[k] == ranks[k] + 1 for k in deficient)
+        kept = all(new_ranks[k] >= ranks[k] for k in range(3))
+        if not (grew and kept):
             raise PreconditionError("augmentation failed to raise local ranks")
+        current = candidate
     return current
 
 

@@ -411,11 +411,11 @@ def test_augment_refuses_a_profile_without_full_rank_states(capsys, tmp_path):
         "the largest dimension exceeds the product of the others\n")
 
 
-def test_seed_is_an_option_of_construct_only(capsys, tmp_path):
+def test_options_follow_their_command_and_augment_has_no_seed(tmp_path):
+    # -o is an option of construct, so before the command it is a usage error
     path = write_state(tmp_path, "product.json", core.make_state([2, 2, 2], [1] + [0] * 7))
-    assert run(capsys, "construct", "augment", "--state", path, "--seed", "3")[0] == 0
-    for argv in (["--seed", "3", "construct", "epr", "--d", "2"],
-                 ["maximal", path, "--seed", "3"]):
+    for argv in (["construct", "augment", "--state", path, "--seed", "3"],
+                 ["-o", str(tmp_path / "x.json"), "construct", "epr", "--d", "2"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -115,7 +115,6 @@ def test_generated_documents_reach_every_document_command(data):
     subset = data.draw(INT_LISTS)
     dims = data.draw(st.one_of(st.just(",".join(map(str, a["dims"]))), INT_LISTS))
     pivot = str(data.draw(st.integers(-1, 3)))
-    seed = str(data.draw(st.integers(0, 3)))
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for name, doc in (("a", a), ("b", b), ("d", decomposition)):
@@ -125,7 +124,7 @@ def test_generated_documents_reach_every_document_command(data):
         for argv in (["verify-decomp", pa, paths["d"]], ["equiv", pa, pb], ["witness", pa, pb],
                      ["complement", pa, "--pivot", pivot], ["classify", pa],
                      ["schmidt", pa, "--subset", subset], ["reach", pa, "--dims", dims],
-                     ["construct", "augment", "--state", pa, "--seed", seed]):
+                     ["construct", "augment", "--state", pa]):
             code, out = run_argv(["--json"] + argv)
             assert code in (0, 1, 2, 3)
             if code == 0:

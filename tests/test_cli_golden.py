@@ -278,7 +278,7 @@ GOLDEN = {
         '2, 2, 2]}}\n',
     ),
     "construct-augment": (
-        "construct augment --state product.json --seed 3", 0,
+        "construct augment --state product.json", 0,
         '{"dims": [2, 2, 2], "amps": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], '
         '[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}\n',
         '{"command": "construct", "input": {"family": "augment"}, '

@@ -121,7 +121,7 @@ def test_augment_never_decreases_bipartition_ranks():
             ops.append(p)
         s = core.apply_local(s, core.LocalOperatorTuple(tuple(ops)))
         before = core.local_ranks(s).bipartition_ranks
-        out = construct.augment_to_full_ranks(s, seed=3)
+        out = construct.augment_to_full_ranks(s)
         after = core.local_ranks(out).bipartition_ranks
         assert all(after[k] >= before[k] for k in before)
         assert core.is_full_local_ranks(out, core.rank_eps())

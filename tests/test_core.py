@@ -365,12 +365,12 @@ def test_hyperplane_equivalence_computes_each_complement_once(svd_calls):
 
 
 def test_augmentation_finds_each_support_once_per_step(svd_calls):
-    # |000> + |111> in (3,2,2) needs one redraw: 3 input ranks and 3 supports,
-    # then 3 ranks for each of the two candidates
+    # |000> + |111> in (3,2,2) takes one step: 3 input ranks, party 0's
+    # column and row orthocomplements, then 3 ranks of the candidate
     state = make_state([3, 2, 2], [1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0])
     out = construct.augment_to_full_ranks(state)
     assert local_ranks(out).local_ranks == (3, 2, 2)
-    assert len(svd_calls) == 12
+    assert len(svd_calls) == 8
 
 
 @pytest.mark.parametrize("dims", [(5, 2, 2), (9, 2, 2), (3, 2, 1), (2, 5, 2)])

@@ -14,6 +14,8 @@ from _helpers import (
     random_invertible_tuple,
     random_singular_tuple,
     random_state,
+    straddling_states,
+    support_projectors,
 )
 from mes import construct, core, io, rank, slocc, spaces
 
@@ -176,6 +178,49 @@ def test_complement_class_independent_of_construction():
             tup = random_invertible_tuple((3, 2, 2), rng)
             moved = core.apply_local(canon, tup)
             assert slocc.classify_hyperplane(moved) == r
+
+
+def assert_augments(state):
+    # full local ranks, no bipartition rank lost, and the input's supports
+    # project the added terms away (up to a component at the 1e-9 cutoff)
+    before = all_bipartition_ranks(state)
+    out = construct.augment_to_full_ranks(state)
+    assert core.local_ranks(out).local_ranks == state.dims
+    after = all_bipartition_ranks(out)
+    assert all(after[cut] >= rank for cut, rank in before.items())
+    projected = core.apply_local(out, support_projectors(state)).amplitudes
+    scale = np.vdot(state.amplitudes, projected) / np.vdot(state.amplitudes, state.amplitudes)
+    assert np.allclose(projected, scale * state.amplitudes,
+                       rtol=0, atol=1e-6 * np.abs(state.amplitudes).max())
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1e2, 1e4])
+@pytest.mark.parametrize("dims, kept", [
+    ((4, 3, 2), (3, 3, 2)), ((3, 3, 3), (3, 2, 3)),  # one deficient party
+    ((4, 3, 2), (3, 2, 2)), ((3, 3, 3), (2, 2, 3)),  # two
+    ((4, 3, 3), (3, 2, 2)), ((3, 3, 3), (2, 2, 2)),  # three
+])
+def test_augment_completes_conditioned_deficient_states(dims, kept, kappa):
+    # random states projected to local ranks kept, then mapped by tuples of
+    # condition number kappa
+    rng = np.random.default_rng(int(kappa))
+    project = core.LocalOperatorTuple(tuple(
+        np.diag([1.0] * r + [0.0] * (d - r)).astype(complex) for d, r in zip(dims, kept)))
+    for _ in range(5):
+        deficient = core.apply_local(random_state(dims, rng), project)
+        state = core.apply_local(deficient, conditioned_tuple(dims, kappa, rng))
+        assert core.local_ranks(state).local_ranks == kept
+        assert_augments(state)
+
+
+@pytest.mark.parametrize("dims", [(3, 2, 2), (4, 3, 2), (3, 3, 3)])
+def test_augment_completes_states_straddling_the_cutoff(monkeypatch, dims):
+    # each party in turn has a last singular value within ulps of the cutoff
+    monkeypatch.delenv("MES_RANK_EPS", raising=False)
+    rng = np.random.default_rng(sum(dims))
+    for party, d in enumerate(dims):
+        for state in straddling_states(dims, party, np.linspace(1, 0.5, d - 1), 2, rng):
+            assert_augments(state)
 
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308,
