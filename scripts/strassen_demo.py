@@ -18,9 +18,7 @@ def main():
     print(f"7-term certificate verified: {bound is not None}")
     print(f"tensor rank interval: [{bound.lower}, {bound.upper}]")
     for drop in range(len(decomp)):
-        reduced = rank.ProductDecomposition(
-            decomp.terms[:drop] + decomp.terms[drop + 1:]
-        )
+        reduced = decomp[:drop] + decomp[drop + 1:]
         assert not rank.verify_decomposition(state, reduced)
     print("every 6-term truncation rejected")
 

@@ -216,8 +216,7 @@ def build_parser(name: str | None = None) -> argparse.ArgumentParser:
                 f"  {key:<15}{entry.help}" for key, entry in COMMANDS.items()),
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
-        parser.add_argument("command", choices=COMMANDS, metavar="command",
-                            help="one of the commands below")
+        parser.add_argument("command", help="one of the commands below")
         parser.add_argument("args", nargs=argparse.REMAINDER,
                             help="its arguments: see mes <command> --help")
     else:
@@ -229,8 +228,21 @@ def build_parser(name: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv: list | None = None) -> int:
-    top = build_parser().parse_args(argv)
-    args = build_parser(top.command).parse_args(top.args)
+    parser = build_parser()
+    # every argument after the command lands in top.args, so what the parser
+    # does not know came before the command
+    top, misplaced = parser.parse_known_args(argv)
+    if misplaced:
+        parser.error(f"{misplaced[0]} before the command: only --json may go there")
+    if top.command not in COMMANDS:
+        parser.error(f"argument command: invalid choice: {top.command!r} "
+                     f"(choose from {', '.join(map(repr, COMMANDS))})")
+    parser = build_parser(top.command)
+    # argparse versions differ on a second "--": some drop it and hand a
+    # positional an empty list, others read it as an argument
+    if top.args.count("--") > 1:
+        parser.error("'--' ends the options and may be given once")
+    args = parser.parse_args(top.args)
     command = COMMANDS[top.command]
     try:
         result, provenance, human = command.run(args)

@@ -79,12 +79,12 @@ def augment_to_full_ranks(state: PureState) -> PureState:
     state.profile.require_three_parties().require_full_ranks()
     eps = core.rank_eps()
     singles = [core.canonical_cut(3, {i}) for i in range(3)]
+    # under a relative cutoff a unit term would vanish beside a state of
+    # scale 1e150, or swamp one of scale 1e-150: terms take the state's scale
+    scale = np.max(np.abs(state.amplitudes))
     current = state
-    for _ in range(sum(state.dims)):
-        ranks = [core.decide(current, cut, eps)[0] for cut in singles]
-        deficient = [i for i in range(3) if ranks[i] < current.dims[i]]
-        if not deficient:
-            return current
+    ranks = [core.decide(current, cut, eps)[0] for cut in singles]
+    while deficient := [i for i in range(3) if ranks[i] < current.dims[i]]:
         i = deficient[0]
         others = [k for k in range(3) if k != i]
         # the basis product of the other parties farthest outside i's row space
@@ -97,14 +97,14 @@ def augment_to_full_ranks(state: PureState) -> PureState:
             if k in deficient else np.eye(1, current.dims[k], units[k], dtype=complex)[0]
             for k in range(3)
         ]
-        term = np.einsum("a,b,c->abc", *factors)
+        term = scale * np.einsum("a,b,c->abc", *factors)
         candidate = PureState(current.profile, (current.tensor() + term).reshape(-1))
         new_ranks = [core.decide(candidate, cut, eps)[0] for cut in singles]
         grew = all(new_ranks[k] == ranks[k] + 1 for k in deficient)
         kept = all(new_ranks[k] >= ranks[k] for k in range(3))
         if not (grew and kept):
             raise PreconditionError("augmentation failed to raise local ranks")
-        current = candidate
+        current, ranks = candidate, new_ranks
     return current
 
 

@@ -14,7 +14,6 @@ from itertools import chain
 import numpy as np
 
 from .core import LocalOperatorTuple, PureState, make_state
-from .rank import ProductDecomposition
 
 
 def _pairs(arr: np.ndarray) -> list:
@@ -93,17 +92,16 @@ def ops_from_dict(data: dict) -> LocalOperatorTuple:
     return LocalOperatorTuple(tuple(ops))
 
 
-def decomposition_to_dict(decomposition: ProductDecomposition) -> dict:
-    return {
-        "terms": [[_pairs(v) for v in term] for term in decomposition.terms]
-    }
+def decomposition_to_dict(decomposition) -> dict:
+    """A decomposition is a sequence of terms, each one vector per party."""
+    return {"terms": [[_pairs(v) for v in term] for term in decomposition]}
 
 
-def decomposition_from_dict(data: dict) -> ProductDecomposition:
+def decomposition_from_dict(data: dict) -> tuple:
     terms = _list_member(data, "terms")
     if any(not isinstance(term, list) for term in terms):
         raise ValueError("each term must be a list of vectors, one per party")
-    return ProductDecomposition(tuple(tuple(_complex(v) for v in term) for term in terms))
+    return tuple(tuple(_complex(v) for v in term) for term in terms)
 
 
 def _read(path: str, from_dict):
@@ -131,5 +129,5 @@ def load_ops(path: str) -> LocalOperatorTuple:
     return _read(path, ops_from_dict)
 
 
-def load_decomposition(path: str) -> ProductDecomposition:
+def load_decomposition(path: str) -> tuple:
     return _read(path, decomposition_from_dict)

@@ -15,40 +15,23 @@ from .spaces import DimsProfile, RankBound, space_rank_bounds  # noqa: F401
 CERTIFICATE_TOL = 1e-10
 
 
-class ProductDecomposition:
-    """Candidate decomposition: one vector per party per term.
-
-    Equality and hashing are by identity: the vectors are arrays.
-    """
-
-    __slots__ = ("_terms",)
-    terms = property(lambda self: self._terms)
-
-    def __init__(self, terms):
-        self._terms = tuple(
-            tuple(np.asarray(v, dtype=complex).reshape(-1) for v in term) for term in terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-
 def flattening_lower_bound(state: PureState) -> int:
     """Max Schmidt rank over all bipartitions; a lower bound on tensor rank."""
     return max(core.local_ranks(state).bipartition_ranks.values())
 
 
-def expand_decomposition(
-    dims: Sequence[int], decomposition: ProductDecomposition
-) -> np.ndarray:
+def expand_decomposition(dims: Sequence[int], decomposition: Sequence) -> np.ndarray:
     """Sum of outer products of the terms, as a flat amplitude vector.
 
-    Raises PreconditionError when the sum overflows or is NaN.
+    A decomposition is a sequence of terms, each a sequence of one vector per
+    party. Raises PreconditionError when the sum overflows or is NaN.
     """
     prof = DimsProfile(dims)
     total = np.zeros(prof.dims, dtype=complex)
-    for t, term in enumerate(decomposition.terms):
+    for t, term in enumerate(decomposition):
         if len(term) != prof.n:
             raise PreconditionError(f"term {t} has {len(term)} factors for {prof.n} parties")
+        term = [np.asarray(v, dtype=complex).reshape(-1) for v in term]
         for i, v in enumerate(term):
             if v.size != prof.dims[i]:
                 raise PreconditionError(
@@ -67,9 +50,7 @@ def expand_decomposition(
     return total.reshape(-1)
 
 
-def verify_decomposition(
-    state: PureState, decomposition: ProductDecomposition
-) -> bool:
+def verify_decomposition(state: PureState, decomposition: Sequence) -> bool:
     """Exact-match certificate: the expanded sum reproduces the amplitudes.
 
     Deviations are measured after scaling both sides by the state's largest
@@ -83,7 +64,7 @@ def verify_decomposition(
     return bool(deviation <= CERTIFICATE_TOL)
 
 
-def certificate_bound(state: PureState, decomposition: ProductDecomposition) -> RankBound | None:
+def certificate_bound(state: PureState, decomposition: Sequence) -> RankBound | None:
     """RankBound from a verified decomposition, tightened by the flattening bound."""
     if not verify_decomposition(state, decomposition):
         return None
@@ -100,7 +81,7 @@ def _matrix_functional(m: int, entries) -> np.ndarray:
     return v
 
 
-def strassen_decomposition() -> ProductDecomposition:
+def strassen_decomposition() -> tuple:
     """Strassen's 7-term decomposition of the 2x2 matrix-multiplication tensor.
 
     Party 0 carries the output-entry functionals, parties 1 and 2 the two
@@ -108,7 +89,7 @@ def strassen_decomposition() -> ProductDecomposition:
     of construct.matmul_tensor(2).
     """
     f = lambda entries: _matrix_functional(2, entries)
-    terms = [
+    return (
         # (C coefficients, A factor, B factor) per product
         (f({(0, 0): 1, (1, 1): 1}), f({(0, 0): 1, (1, 1): 1}), f({(0, 0): 1, (1, 1): 1})),
         (f({(1, 0): 1, (1, 1): -1}), f({(1, 0): 1, (1, 1): 1}), f({(0, 0): 1})),
@@ -117,5 +98,4 @@ def strassen_decomposition() -> ProductDecomposition:
         (f({(0, 0): -1, (0, 1): 1}), f({(0, 0): 1, (0, 1): 1}), f({(1, 1): 1})),
         (f({(1, 1): 1}), f({(1, 0): 1, (0, 0): -1}), f({(0, 0): 1, (0, 1): 1})),
         (f({(0, 0): 1}), f({(0, 1): 1, (1, 1): -1}), f({(1, 0): 1, (1, 1): 1})),
-    ]
-    return ProductDecomposition(tuple(terms))
+    )

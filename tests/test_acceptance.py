@@ -59,7 +59,7 @@ def test_criterion_3_construction_certification():
         state = construct.maximal_rank_d1(dims)
         full = core.local_ranks(state).local_ranks == dims
         lb = rank.flattening_lower_bound(state) == dims[0]
-        decomp = rank.ProductDecomposition(tuple(construct.rank_d1_terms(dims)))
+        decomp = construct.rank_d1_terms(dims)
         cert = rank.verify_decomposition(state, decomp) and len(decomp) == dims[0]
         ok = ok and full and lb and cert
     report(3, "rank-d1 construction certification", ok)
@@ -111,9 +111,7 @@ def test_criterion_7_strassen_certificate():
     decomp = rank.strassen_decomposition()
     ok = rank.verify_decomposition(mm, decomp) and len(decomp) == 7
     for drop in range(7):
-        reduced = rank.ProductDecomposition(
-            decomp.terms[:drop] + decomp.terms[drop + 1:]
-        )
+        reduced = decomp[:drop] + decomp[drop + 1:]
         ok = ok and not rank.verify_decomposition(mm, reduced)
     report(7, "Strassen certificate", ok)
 

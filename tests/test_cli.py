@@ -411,14 +411,32 @@ def test_augment_refuses_a_profile_without_full_rank_states(capsys, tmp_path):
         "the largest dimension exceeds the product of the others\n")
 
 
-def test_options_follow_their_command_and_augment_has_no_seed(tmp_path):
+def test_options_follow_their_command_and_augment_has_no_seed(capsys, tmp_path):
     # -o is an option of construct, so before the command it is a usage error
+    # that names it; only a word that is no command is an invalid choice
     path = write_state(tmp_path, "product.json", core.make_state([2, 2, 2], [1] + [0] * 7))
-    for argv in (["construct", "augment", "--state", path, "--seed", "3"],
-                 ["-o", str(tmp_path / "x.json"), "construct", "epr", "--d", "2"]):
+    for argv, message in (
+            (["construct", "augment", "--state", path, "--seed", "3"],
+             "mes construct: error: unrecognized arguments: --seed 3"),
+            (["-o", str(tmp_path / "x.json"), "construct", "epr", "--d", "2"],
+             "mes: error: -o before the command"),
+            (["--json", "--d", "2", "construct", "epr"], "mes: error: --d before the command"),
+            (["nope"], "mes: error: argument command: invalid choice: 'nope'")):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["equiv", "witness", "apply", "verify-decomp"])
+def test_a_second_double_dash_is_a_usage_error(capsys, tmp_path, bell, command):
+    # some argparse versions drop the second "--" and leave the second
+    # positional an empty list, which reached open() as a TypeError
+    path = write_state(tmp_path, "bell.json", bell)
+    with pytest.raises(SystemExit) as exc:
+        main([command, path, "--", "--"])
+    assert exc.value.code == 2
+    assert f"mes {command}: error: " in capsys.readouterr().err
 
 
 def test_overflowing_decomposition_exit_2_without_warning(tmp_path, bell):

@@ -32,7 +32,7 @@ def files(tmp_path, monkeypatch, ghz, phi1_322, phi2_322, bell):
         io.save_state(state, f"{name}.json")
     strassen = rank.strassen_decomposition()
     for name, decomp in [("strassen", strassen),
-                         ("strassen6", rank.ProductDecomposition(strassen.terms[:6]))]:
+                         ("strassen6", strassen[:6])]:
         with open(f"{name}.json", "w") as fh:
             json.dump(io.decomposition_to_dict(decomp), fh)
     projector = core.LocalOperatorTuple(

@@ -64,7 +64,7 @@ def test_maximal_rank_d1_full_ranks_and_rank():
     assert core.local_ranks(s).local_ranks == (4, 2, 2)
     assert rank.flattening_lower_bound(s) == 4
     terms = construct.rank_d1_terms((4, 2, 2))
-    assert rank.verify_decomposition(s, rank.ProductDecomposition(tuple(terms)))
+    assert rank.verify_decomposition(s, terms)
 
 
 def test_maximal_rank_d1_rejects_mes_profile():
@@ -81,6 +81,15 @@ def test_augment_product_state_gives_ghz(ghz):
     out = construct.augment_to_full_ranks(s)
     # one step, all three parties deficient: |000> plus a phase of |111>
     assert np.allclose(np.abs(out.amplitudes), np.abs(ghz.amplitudes))
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_augment_adds_terms_at_the_state_scale(ghz, scale):
+    # a unit term under a relative cutoff would vanish beside |000> scaled by
+    # 1e150, or swamp it scaled by 1e-150
+    s = core.make_state([2, 2, 2], [scale] + [0] * 7)
+    out = construct.augment_to_full_ranks(s)
+    assert np.allclose(np.abs(out.amplitudes) / scale, np.abs(ghz.amplitudes))
 
 
 def test_augment_ghz_unchanged(ghz):

@@ -2,6 +2,8 @@
 
 import ast
 import builtins
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -95,3 +97,36 @@ def test_no_module_imports_dataclasses_or_typing():
             hits += [f"{path.name}:{node.lineno}: {name}" for name in names
                      if name.split(".")[0] in ("dataclasses", "typing")]
     assert hits == []
+
+
+def test_layer_modules_meet_only_in_core():
+    # construct, io, rank and slocc build on core, spaces and errors alone, so
+    # running one never runs another
+    hits = []
+    for name in ("construct", "io", "rank", "slocc"):
+        path = Path(mes.__file__).parent / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            # from . import core, from .core import x, from mes.core import x
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or node.module.split(".")[0] == "mes"):
+                inner = (node.module or "").removeprefix("mes").lstrip(".")
+                used = [inner.split(".")[0]] if inner else [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                used = [alias.name.split(".")[1] for alias in node.names
+                        if alias.name.startswith("mes.")]
+            else:
+                continue
+            hits += [f"{name}.py:{node.lineno}: {module}" for module in used
+                     if module not in ("core", "spaces", "errors")]
+    assert hits == []
+
+
+def test_reading_a_state_leaves_rank_unrun(tmp_path):
+    # mes.rank stays a lazy module until something asks it a question
+    child = ("import sys, mes; mes.io.load_state(sys.argv[1]); "
+             "print(type(sys.modules['mes.rank']).__name__)")
+    (tmp_path / "bell.json").write_text('{"dims": [2, 2], "amps": [[1, 0], [0, 0], [0, 0], [1, 0]]}')
+    env = dict(os.environ, PYTHONPATH=str(Path(mes.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", child, str(tmp_path / "bell.json")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "_LazyModule\n", "")

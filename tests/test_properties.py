@@ -105,7 +105,7 @@ def test_maximal_rank_d1_certified(dims):
     state = construct.maximal_rank_d1(dims)
     assert slocc.is_maximal(state)
     assert rank.flattening_lower_bound(state) == dims[0]
-    decomp = rank.ProductDecomposition(tuple(construct.rank_d1_terms(dims)))
+    decomp = construct.rank_d1_terms(dims)
     bound = rank.certificate_bound(state, decomp)
     assert bound is not None and bound.exact and bound.lower == dims[0]
     assert bound.upper <= spaces.space_rank_bounds(dims).upper

@@ -3,7 +3,6 @@ import pytest
 
 from mes import construct, core, rank, spaces
 from mes.errors import PreconditionError
-from mes.rank import ProductDecomposition
 from mes.spaces import RankBound
 
 
@@ -59,7 +58,7 @@ def test_space_rank_bounds_validation():
 def test_verify_ghz_decomposition(ghz):
     e0 = [1, 0]
     e1 = [0, 1]
-    decomp = ProductDecomposition(((e0, e0, e0), (e1, e1, e1)))
+    decomp = ((e0, e0, e0), (e1, e1, e1))
     assert rank.verify_decomposition(ghz, decomp)
 
 
@@ -68,7 +67,7 @@ def test_verify_phi2_rank3_certificate(phi2_322):
     t1 = ([1, -1, 0], [1, 0], [1, 0])
     t2 = ([0, -1, 1], [0, 1], [0, 1])
     t3 = ([0, 1, 0], [1, 1], [1, 1])
-    decomp = ProductDecomposition((t1, t2, t3))
+    decomp = (t1, t2, t3)
     expanded = rank.expand_decomposition((3, 2, 2), decomp)
     assert np.allclose(expanded, phi2_322.amplitudes)
     assert rank.verify_decomposition(phi2_322, decomp)
@@ -87,29 +86,25 @@ def test_strassen_certificate():
 @pytest.mark.parametrize("drop", range(7))
 def test_strassen_any_deleted_term_fails(drop):
     mm = construct.matmul_tensor(2)
-    terms = rank.strassen_decomposition().terms
-    reduced = ProductDecomposition(terms[:drop] + terms[drop + 1:])
+    terms = rank.strassen_decomposition()
+    reduced = terms[:drop] + terms[drop + 1:]
     assert not rank.verify_decomposition(mm, reduced)
     assert rank.certificate_bound(mm, reduced) is None
 
 
 def test_verify_rejects_wrong_state(ghz):
     e0 = [1, 0]
-    decomp = ProductDecomposition(((e0, e0, e0),))
+    decomp = ((e0, e0, e0),)
     assert not rank.verify_decomposition(ghz, decomp)
 
 
 def test_verify_shape_mismatch(ghz):
     with pytest.raises(PreconditionError, match="factor 0 has length 3"):
-        rank.verify_decomposition(
-            ghz, ProductDecomposition((([1, 0, 0], [1, 0], [1, 0]),))
-        )
+        rank.verify_decomposition(ghz, (([1, 0, 0], [1, 0], [1, 0]),))
 
 
 def test_verify_scale_awareness(ghz):
     # scaling one factor by c and another of the same term by 1/c is neutral
     c = 7.3 - 0.2j
-    decomp = ProductDecomposition(
-        ((np.array([c, 0]), np.array([1 / c, 0]), [1, 0]), ([0, 1], [0, 1], [0, 1]))
-    )
+    decomp = ((np.array([c, 0]), np.array([1 / c, 0]), [1, 0]), ([0, 1], [0, 1], [0, 1]))
     assert rank.verify_decomposition(ghz, decomp)

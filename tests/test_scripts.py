@@ -1,7 +1,9 @@
-"""The shipped scripts run end to end and print exactly what they printed before."""
+"""The shipped scripts, and the README's CLI example, run end to end; the
+scripts print exactly what they printed before."""
 
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -48,12 +50,16 @@ SURVEY_MAX_DIM_6 = """\
 """
 
 
-def run_script(name, *args):
+def src_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def run_script(name, *args):
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=src_env(), timeout=120)
 
 
 def test_profile_survey_golden():
@@ -66,3 +72,17 @@ def test_strassen_demo_runs():
     proc = run_script("strassen_demo.py")
     assert proc.returncode == 0, proc.stderr
     assert "tensor rank interval: [4, 7]" in proc.stdout
+
+
+def test_readme_cli_example_runs(tmp_path):
+    # each line of the block reads only files that the lines before it write
+    block = (ROOT / "README.md").read_text().split("## CLI")[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith(("mes ", "python -c "))]
+    assert len(lines) > 10
+    for line in lines:
+        head, rest = line.split(" ", 1)
+        run = [sys.executable, "-m", "mes.cli"] if head == "mes" else [sys.executable]
+        proc = subprocess.run(" ".join(map(shlex.quote, run)) + " " + rest, shell=True,
+                              capture_output=True, text=True, env=src_env(), cwd=tmp_path,
+                              timeout=120)
+        assert proc.returncode == 0, (line, proc.stderr)
