@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 
 import numpy as np
 
 from . import core
 from .core import PureState
-from .errors import PreconditionError
+from .errors import PreconditionError, UndecidableError
 # re-exported: mesbench's slocc-sweep calls rank.space_rank_bounds
 from .spaces import DimsProfile, RankBound, space_rank_bounds  # noqa: F401
 
@@ -37,14 +38,10 @@ def expand_decomposition(dims: Sequence[int], decomposition: Sequence) -> np.nda
                 raise PreconditionError(
                     f"term {t} factor {i} has length {v.size}, party dimension is {prof.dims[i]}"
                 )
-        if all(np.any(v) for v in term):
-            prod = term[0]
-            with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-                for v in term[1:]:
-                    prod = np.multiply.outer(prod, v)
-                total += prod
-        else:
+        if not all(v.any() for v in term):
             raise PreconditionError(f"term {t} contains a zero factor")
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            total += functools.reduce(np.multiply.outer, term)
     if not np.isfinite(total).all():
         raise PreconditionError("decomposition expands to NaN or infinite amplitudes")
     return total.reshape(-1)
@@ -53,15 +50,15 @@ def expand_decomposition(dims: Sequence[int], decomposition: Sequence) -> np.nda
 def verify_decomposition(state: PureState, decomposition: Sequence) -> bool:
     """Exact-match certificate: the expanded sum reproduces the amplitudes.
 
-    Deviations are measured after scaling both sides by the state's largest
-    amplitude magnitude, against an absolute 1e-10 tolerance.
+    Each expanded amplitude lies within 1e-10 of its amplitude, relative to
+    the state's largest real or imaginary part. Nothing is rescaled, so a
+    difference past the float range rejects the certificate.
     """
     expanded = expand_decomposition(state.dims, decomposition)
-    scale = np.max(np.abs(state.amplitudes))
-    # an expansion that overflows once scaled is infinitely far off: rejected
-    with np.errstate(over="ignore", invalid="ignore"):
-        deviation = np.max(np.abs(expanded / scale - state.amplitudes / scale))
-    return bool(deviation <= CERTIFICATE_TOL)
+    amps = state.amplitudes
+    with np.errstate(over="ignore"):  # an infinite deviation is rejected below
+        deviation = np.abs(expanded - amps).max()
+    return bool(deviation <= CERTIFICATE_TOL * np.abs(amps.view(float)).max())
 
 
 def certificate_bound(state: PureState, decomposition: Sequence) -> RankBound | None:
@@ -70,15 +67,9 @@ def certificate_bound(state: PureState, decomposition: Sequence) -> RankBound | 
         return None
     upper = len(decomposition)
     lower = flattening_lower_bound(state)
+    if lower > upper:
+        raise UndecidableError(f"flattening lower bound {lower} > {upper}-term certificate")
     return RankBound(lower, upper, lower == upper, ("flattening", "certificate"))
-
-
-def _matrix_functional(m: int, entries) -> np.ndarray:
-    """Vector over the m*m pair basis from {(row, col): coefficient}."""
-    v = np.zeros(m * m, dtype=complex)
-    for (i, j), c in entries.items():
-        v[i * m + j] = c
-    return v
 
 
 def strassen_decomposition() -> tuple:
@@ -88,7 +79,8 @@ def strassen_decomposition() -> tuple:
     input-matrix functionals, matching the |i,j>|i,k>|k,j> index convention
     of construct.matmul_tensor(2).
     """
-    f = lambda entries: _matrix_functional(2, entries)
+    # {(row, col): coefficient} -> vector over the pair basis |row, col>
+    f = lambda entries: np.array([entries.get(divmod(k, 2), 0) for k in range(4)], dtype=complex)
     return (
         # (C coefficients, A factor, B factor) per product
         (f({(0, 0): 1, (1, 1): 1}), f({(0, 0): 1, (1, 1): 1}), f({(0, 0): 1, (1, 1): 1})),

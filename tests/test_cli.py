@@ -186,6 +186,9 @@ MALFORMED_STATES = [
     ({"dims": [2, 2]}, "missing field 'amps'"),
     ({"amps": BELL_AMPS}, "missing field 'dims'"),
     ({"dims": [2, 2], "amps": [[True, False], [0, 0], [0, 0], [1, 0]]}, "number pairs (got bool)"),
+    ([2, 2], "a state must be a JSON object"),
+    # "dims" in a string is a substring test: the object gate comes first
+    ("dims: [2, 2]", "a state must be a JSON object"),
 ]
 
 
@@ -278,6 +281,32 @@ def test_refused_input_exit_2(capsys, tmp_path, command, state, doc, refusal):
             (tmp_path / name).write_text(json.dumps(content))
             paths.append(str(tmp_path / name))
     assert run(capsys, command, *paths) == (2, "", f"precondition violated: {refusal}\n")
+
+
+def test_complement_pivot_out_of_range_exit_2(capsys, tmp_path, phi1_322):
+    path = write_state(tmp_path, "phi1.json", phi1_322)
+    assert run(capsys, "complement", path, "--pivot", "3") == (
+        2, "", "precondition violated: pivot 3 out of range for 3 parties\n")
+
+
+TINY, HUGE = 1e-310, 1.5e308
+# (s, certificate terms, verdict) for the state s (|00> + |11>): s = HUGE (1 + i)
+# with |00> alone, and s = TINY with its exact two terms
+EXTREME_CERTIFICATES = [
+    ([HUGE, HUGE], [[E0, E0]], "certificate rejected"),
+    ([TINY, 0], [[[[TINY, 0], [0, 0]], E0], [[[0, 0], [TINY, 0]], [[0, 0], [1, 0]]]],
+     "certificate verified: tensor rank <= 2"),
+]
+
+
+@pytest.mark.parametrize("s, terms, verdict", EXTREME_CERTIFICATES, ids=["huge", "tiny"])
+def test_verify_decomp_at_both_ends_of_the_float_range(capsys, tmp_path, s, terms, verdict):
+    state = {"dims": [2, 2], "amps": [s, [0, 0], [0, 0], s]}
+    paths = []
+    for name, doc in (("state.json", state), ("decomp.json", {"terms": terms})):
+        (tmp_path / name).write_text(json.dumps(doc))
+        paths.append(str(tmp_path / name))
+    assert run(capsys, "verify-decomp", *paths) == (0, verdict + "\n", "")
 
 
 def test_non_finite_amplitude_exit_2(capsys, tmp_path):

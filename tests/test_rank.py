@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mes import construct, core, rank, spaces
-from mes.errors import PreconditionError
+from mes.errors import PreconditionError, UndecidableError
 from mes.spaces import RankBound
 
 
@@ -108,3 +108,30 @@ def test_verify_scale_awareness(ghz):
     c = 7.3 - 0.2j
     decomp = ((np.array([c, 0]), np.array([1 / c, 0]), [1, 0]), ([0, 1], [0, 1], [0, 1]))
     assert rank.verify_decomposition(ghz, decomp)
+
+
+# s (|00> + |11>) from the subnormal range to a modulus past the largest float
+@pytest.mark.parametrize("s", [1e-310, 1e-300, 1, 1e300, 1.5e308 * (1 + 1j)], ids=str)
+def test_certificates_at_every_scale(s):
+    state = core.make_state([2, 2], [s, 0, 0, s])
+    e0, e1 = np.eye(2)
+    terms = ((s * e0, e0), (s * e1, e1))
+    assert rank.verify_decomposition(state, terms)
+    for term in terms:
+        assert not rank.verify_decomposition(state, (term,))
+
+
+def test_certificate_bound_undecidable_when_flattening_exceeds_it(monkeypatch):
+    # |000> plus 0.9e-10 on every amplitude: the one-term certificate passes
+    # the entrywise tolerance, while the flattenings decide rank 3
+    monkeypatch.delenv("MES_RANK_EPS", raising=False)
+    theta = np.random.default_rng(0).random((10, 10, 10))
+    amps = 0.9e-10 * np.exp(2j * np.pi * theta)
+    amps[0, 0, 0] += 1
+    state = core.make_state((10, 10, 10), amps.reshape(-1))
+    e0 = np.eye(10)[0]
+    certificate = ((e0, e0, e0),)
+    assert rank.verify_decomposition(state, certificate)
+    assert rank.flattening_lower_bound(state) == 3
+    with pytest.raises(UndecidableError, match="bound 3 > 1-term certificate"):
+        rank.certificate_bound(state, certificate)

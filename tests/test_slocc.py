@@ -91,6 +91,11 @@ class TestComplementMap:
                                    match=f"pivot local rank {rank} < dimension 2"):
                     slocc.complement_map(s, 1)
 
+    @pytest.mark.parametrize("pivot", [-1, 3])
+    def test_pivot_out_of_range(self, phi1_322, pivot):
+        with pytest.raises(PreconditionError, match=f"pivot {pivot} out of range"):
+            slocc.complement_map(phi1_322, pivot)
+
     def test_nonpositive_k(self):
         s = construct.mes_state((4, 2, 2))
         with pytest.raises(PreconditionError, match="pivot dimension 4 >= product of the rest"):
